@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", required=True, type=int)
     p.add_argument("--d-min", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv", "text"], default="csv")
     p.set_defaults(fn=cmd_table)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .gammafn import log_gamma
+from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
 
 __all__ = [
     "Family",
@@ -80,7 +80,12 @@ def axial_constant(n: int) -> float:
     """c_n with Int_{S^{n-1}} f(eta_1) dsigma = c_n Int_{-1}^1 f(t)(1-t^2)^{(n-3)/2} dt."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return math.exp(log_gamma(n / 2.0) - log_gamma((n - 1) / 2.0)) / math.sqrt(math.pi)
+    # c_n = Gamma(n/2) / (Gamma(1/2) Gamma((n-1)/2)); pairing each argument
+    # with 1/2 or 1 at an integer offset lets gamma_ratio use the recurrence
+    # product instead of a log-gamma difference, whose rounding grows with n
+    if n % 2:
+        return gamma_ratio(GammaRatioSpec((n / 2.0, 1.0), (0.5, (n - 1) / 2.0)))
+    return gamma_ratio(GammaRatioSpec((n / 2.0, 0.5), (1.0, (n - 1) / 2.0))) / math.pi
 
 
 def _double_factorial(k: int) -> int:

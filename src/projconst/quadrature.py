@@ -2,9 +2,12 @@
 
 The central operation integrates |P(t)| (1-t^2)^gamma for a Jacobi polynomial
 P. The absolute value has kinks exactly at the roots of P, so the interval is
-split there and each smooth arch is integrated to spectral accuracy. Endpoint
+split there. For the axial kernels of the projection constants every arch has
+a closed antiderivative, and `integrate_abs_kernel` sums its differences at
+the roots exactly. `integrate_abs_jacobi` is the general route for any
+(a, b, gamma): each smooth arch is integrated to spectral accuracy, endpoint
 weight singularities (gamma < 0) stay inside a Gauss-Jacobi rule on the two
-outermost subintervals; interior subintervals fold the weight into the
+outermost subintervals, and interior subintervals fold the weight into the
 integrand under plain Gauss-Legendre.
 """
 
@@ -12,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import betainc, roots_jacobi
 
 from .errors import DomainError, ToleranceError
 from .gammafn import beta as beta_fn
+from .geometry import axial_constant
 from .orthopoly import JacobiParams, _jacobi_recurrence, jacobi_roots
 from .result import ComputationResult
 
@@ -25,19 +30,26 @@ __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
     "integrate_abs_jacobi",
+    "integrate_abs_kernel",
     "dirichlet_lebesgue",
     "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-10
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# abs_err of integrate_abs_kernel, in units of eps times the summed sizes of
+# the antiderivative's two parts at the roots. Against 40-digit references
+# (every n >= 3 value of perfbench/reference.json) the error reached 29 such
+# units, at polyleq n = 4, d = 662; 48 keeps a margin, and n = 50, d <= 54
+# still meets the default tolerance, which allows up to 59 there.
+_ARCH_SUM_ROUNDING = 48.0
 
 
+# bounded, since kernel_l2_norm asks for orders that grow with d; `verify`
+# cycles through ten orders, which a smaller cache would evict and rebuild
+@lru_cache(maxsize=32)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = np.polynomial.legendre.leggauss(order)
-    return _leggauss_cache[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,65 @@ def integrate_abs_jacobi(
             achieved=err,
         )
     return result
+
+
+def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> ComputationResult:
+    """c_n Int_{-1}^1 |K(t)| (1-t^2)^gamma dt, exactly up to rounding.
+
+    K = sum_{k in degrees} ((k+lam)/lam) C_k^{(lam)}(t) is the axial kernel of
+    the zonal space spanned by the harmonics of those degrees, lam = (n-2)/2,
+    gamma = (n-3)/2 and c_n = axial_constant(n), so the result is the space's
+    projection constant. `roots_of` is a Jacobi polynomial with the roots of K.
+
+    By DLMF 18.9.20 the integrand has the antiderivative
+    F(t) = [0 in degrees] I(t)
+           - 2 c_n (1-t^2)^(gamma+1) sum_{k in degrees, k >= 1}
+             (k+lam)/(k(k+2lam)) C_{k-1}^{(lam+1)}(t),
+    with I(t) = c_n Int_{-1}^t (1-s^2)^gamma ds, a regularized incomplete
+    beta. K keeps its sign between consecutive breakpoints -1, roots, 1, so
+    the integral is the sum of |F(x_{j+1}) - F(x_j)|; the series is summed by
+    one Clenshaw pass over all roots, O(d^2) in all. abs_err estimates the
+    rounding of F at the roots: a fixed multiple of eps times the summed
+    sizes of both parts there.
+    """
+    d = max(degrees, default=0)
+    if n < 3 or d < 1 or min(degrees) < 0 or roots_of.degree != d:
+        raise DomainError(
+            f"need n >= 3 and degrees in 0..d, d >= 1, with roots_of of degree d; "
+            f"got n={n}, degrees={degrees}, roots_of={roots_of}"
+        )
+    lam = (n - 2) / 2.0
+    mu = lam + 1.0
+    x = np.asarray(jacobi_roots(roots_of))
+
+    coef = np.zeros(d)
+    ks = np.array([k for k in degrees if k], dtype=float)
+    coef[ks.astype(int) - 1] = (ks + lam) / (ks * (ks + 2.0 * lam))
+    # b_j = coef_j + A_j x b_{j+1} - B_{j+1} b_{j+2} for the recurrence
+    # C_{j+1} = A_j x C_j - B_j C_{j-1}, A_j = 2(j+mu)/(j+1), B_j = (j+2mu-1)/(j+1)
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for j in range(d - 1, -1, -1):
+        b1, b2 = coef[j] + (2.0 * (j + mu) / (j + 1)) * x * b1 - ((j + 2.0 * mu) / (j + 2)) * b2, b1
+
+    c_n = axial_constant(n)
+    # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error
+    oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * b1
+    if 0 in degrees:
+        incomplete = betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + x))
+        top = 1.0  # I(1): the weight's total mass times c_n
+    else:
+        incomplete = np.zeros_like(x)
+        top = 0.0
+    f = np.concatenate(([0.0], incomplete - oscillating, [top]))
+    value = math.fsum(np.abs(np.diff(f)).tolist())
+    sizes = float(np.sum(np.abs(oscillating) + np.abs(incomplete)))
+    return ComputationResult(
+        value=value,
+        abs_err=_ARCH_SUM_ROUNDING * math.ulp(1.0) * sizes,
+        method="ExactArchSum",
+        inputs={"n": n, "degrees": degrees, "roots_of": roots_of},
+    )
 
 
 def _dirichlet_pass(freq: float, n_arches: int, order: int) -> float:

@@ -14,5 +14,5 @@ class ComputationResult:
 
     value: float
     abs_err: float
-    method: str  # ClosedForm | JacobiQuadrature | DirichletQuadrature
+    method: str  # ClosedForm | ExactArchSum | JacobiQuadrature | DirichletQuadrature
     inputs: dict[str, Any] = field(default_factory=dict)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from projconst.constants import (
     lambda_complex_homogeneous,
@@ -11,10 +15,13 @@ from projconst.constants import (
     lambda_homogeneous,
     lambda_poly_leq,
 )
-from projconst.errors import DomainError
+from projconst.errors import DomainError, ToleranceError
 from projconst.geometry import Family, SpaceId, axial_constant
 from projconst.kernels import kernel_axial_closed
 from projconst.orthopoly import JacobiParams, jacobi_roots
+from projconst.quadrature import integrate_abs_jacobi
+
+LAMBDA = {"harmonic": lambda_harmonic, "homogeneous": lambda_homogeneous, "polyleq": lambda_poly_leq}
 
 
 def test_lambda_harmonic_trivial():
@@ -135,8 +142,6 @@ def test_lambda_equals_independent_kernel_integral_even_n():
 
 def test_gronwall_consistency_n3_polyleq():
     # (d+1)/2 * int |P_d^{(1,0)}| dt equals the general n=3 formula
-    from projconst.quadrature import integrate_abs_jacobi
-
     for d in range(0, 21):
         direct = lambda_poly_leq(3, d).value
         if d == 0:
@@ -158,3 +163,97 @@ def test_degree_zero_and_domain_errors():
         lambda_hilbert(3, "quaternion")
     with pytest.raises(DomainError):
         lambda_complex_homogeneous(0, 3)
+
+
+def _quadrature_lambda(family: str, n: int, d: int) -> float:
+    """The quadrature route: log-gamma prefactor times the abs-Jacobi integral."""
+    lg = math.lgamma
+    if family == "harmonic":
+        a = b = (n - 3) / 2.0
+        prefactor = (2 * d + n - 2) / 2.0 ** (n - 2) * math.exp(
+            lg(d + n - 2.0) - lg((n - 1) / 2.0) - lg(d + (n - 1) / 2.0)
+        )
+    elif family == "homogeneous":
+        a = b = (n - 1) / 2.0
+        prefactor = math.exp(
+            lg(n / 2.0) + lg(d + float(n)) - lg(n - 1.0) - lg(d + (n + 1) / 2.0)
+        ) / (2.0 * math.sqrt(math.pi))
+    else:
+        a, b = (n - 1) / 2.0, (n - 3) / 2.0
+        prefactor = math.exp(
+            lg(n / 2.0) - lg(n - 1.0) + lg(d + n - 1.0) - lg(d + (n - 1) / 2.0)
+        ) / math.sqrt(math.pi)
+    return prefactor * integrate_abs_jacobi(JacobiParams(a, b, d), (n - 3) / 2.0).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LAMBDA)), st.integers(3, 20), st.integers(1, 60))
+def test_exact_arch_sum_matches_quadrature(family, n, d):
+    res = LAMBDA[family](n, d)
+    assert res.method == "ExactArchSum"
+    assert res.value == pytest.approx(_quadrature_lambda(family, n, d), rel=1e-12)
+
+
+def _mp_lambda(family: str, n: int, d: int):
+    """lambda at 40 digits: the arch antiderivative at roots refined in mpmath.
+
+    K = sum_{k in S} ((k+lam)/lam) C_k^{(lam)}; the antiderivative of
+    c_n K (1-t^2)^(lam-1/2) is [0 in S] I(t) - 2 c_n (1-t^2)^(lam+1/2)
+    sum_{k in S, k >= 1} (k+lam)/(k(k+2lam)) C_{k-1}^{(lam+1)}(t).
+    """
+    degrees = {"harmonic": [d], "homogeneous": list(range(d % 2, d + 1, 2)),
+               "polyleq": list(range(d + 1))}[family]
+    with mp.workdps(40):
+        lam = mp.mpf(n - 2) / 2
+
+        def gegenbauer_sum(mu, coef, t):
+            c_prev, c = mp.mpf(0), mp.mpf(1)
+            total = coef.get(0, 0) * c
+            for k in range(max(coef)):
+                c_prev, c = c, (2 * (k + mu) * t * c - (k + 2 * mu - 1) * c_prev) / (k + 1)
+                total += coef.get(k + 1, 0) * c
+            return total
+
+        kernel = {k: (k + lam) / lam for k in degrees}
+        series = {k - 1: (k + lam) / (k * (k + 2 * lam)) for k in degrees if k}
+        c_n = mp.gamma(mp.mpf(n) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(n - 1) / 2))
+
+        def antiderivative(t):
+            value = -2 * c_n * (1 - t * t) ** (lam + 0.5) * gegenbauer_sum(lam + 1, series, t)
+            if 0 in degrees:
+                value += mp.betainc(lam + 0.5, lam + 0.5, 0, (1 + t) / 2, regularized=True)
+            return value
+
+        g = (n - 3) / 2.0
+        a, b = {"harmonic": (g, g), "homogeneous": (g + 1, g + 1), "polyleq": (g + 1, g)}[family]
+        guesses = roots_jacobi(d, a, b)[0]
+        roots = [mp.findroot(lambda t: gegenbauer_sum(lam, kernel, t), mp.mpf(float(x)))
+                 for x in guesses]
+        values = [antiderivative(t) for t in [mp.mpf(-1), *roots, mp.mpf(1)]]
+        return mp.fsum(abs(v1 - v0) for v0, v1 in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("family,n,d", [
+    ("harmonic", 3, 40), ("harmonic", 8, 17), ("harmonic", 27, 9), ("harmonic", 50, 12),
+    ("homogeneous", 3, 33), ("homogeneous", 4, 31), ("homogeneous", 12, 24), ("homogeneous", 50, 9),
+    ("polyleq", 4, 38), ("polyleq", 7, 25), ("polyleq", 20, 33), ("polyleq", 50, 15),
+])
+def test_exact_arch_sum_against_mpmath(family, n, d):
+    res = LAMBDA[family](n, d)
+    ref = float(_mp_lambda(family, n, d))
+    assert abs(res.value - ref) <= res.abs_err
+    assert res.value == pytest.approx(ref, rel=1e-13)
+
+
+def test_default_tol_met_at_n50():
+    # the largest degrees at n = 50 that the benchmark's lambda sweep draws
+    for fn in LAMBDA.values():
+        for d in range(47, 55):
+            assert fn(50, d).method == "ExactArchSum"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflow_fails_loudly():
+    # the kernel's Gegenbauer series overflows double precision here
+    with pytest.raises(ToleranceError):
+        lambda_harmonic(600, 600, tol=1e300)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from projconst.errors import DomainError
 from projconst.gammafn import (
@@ -54,6 +55,19 @@ def test_gamma_ratio_rejects_nonpositive():
 @given(st.floats(min_value=1e-3, max_value=100.0, allow_nan=False))
 def test_gamma_ratio_recurrence_property(x):
     assert gamma_ratio(GammaRatioSpec((x + 1.0,), (x,))) == pytest.approx(x, rel=1e-13)
+
+
+def test_gamma_ratio_near_integer_offset():
+    # (x + 1) - x rounds to 0.9999999999999929 here; a log-gamma difference
+    # gave a relative error of 1.06e-13 (`verify --seed 924406` failed on it)
+    x = 63.45810509907083
+    a = x + 1.0
+    assert a - x != 1.0
+    got = gamma_ratio(GammaRatioSpec((a,), (x,)))
+    assert got == pytest.approx(x, rel=1e-13)
+    with mp.workdps(40):
+        exact = float(mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(x)))
+    assert got == pytest.approx(exact, rel=1e-15)
 
 
 def test_beta_values():

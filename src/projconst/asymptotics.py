@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import lambda_harmonic, lambda_homogeneous, lambda_poly_leq
+from .constants import projection_constant
 from .errors import UnsupportedCombinationError
 from .gammafn import log_gamma
-from .geometry import Family, SpaceId, dim_space
+from .geometry import Family, SpaceId
 from .quadrature import DEFAULT_TOL
 
 __all__ = ["LimitSpec", "ConvergenceRow", "limit_constant", "convergence_report"]
@@ -84,20 +84,12 @@ class ConvergenceRow:
     deviation: float
 
 
-def _lambda_value(family: Family, n: int, d: int, tol: float) -> float:
-    if family is Family.HARMONIC:
-        return lambda_harmonic(n, d, tol).value
-    if family is Family.HOMOGENEOUS:
-        return lambda_homogeneous(n, d, tol).value
-    return lambda_poly_leq(n, d, tol).value
-
-
-def _normalizer(spec: LimitSpec, n: int, d: int) -> float:
-    if spec.normalization == "dim_sqrt":
-        return math.sqrt(dim_space(SpaceId(spec.family, n, d)))
-    if spec.normalization == "d_power":
-        return d ** ((n - 2) / 2.0)
-    return math.log(d)
+def _normalizer(normalization: str, space: SpaceId) -> float:
+    if normalization == "dim_sqrt":
+        return math.sqrt(space.dim)
+    if normalization == "d_power":
+        return space.d ** ((space.n - 2) / 2.0)
+    return math.log(space.d)
 
 
 def convergence_report(
@@ -113,7 +105,8 @@ def convergence_report(
     limit = limit_constant(spec)
     rows = []
     for d in d_values:
-        ratio = _lambda_value(spec.family, spec.n, d, tol) / _normalizer(spec, spec.n, d)
+        space = SpaceId(spec.family, spec.n, d)
+        ratio = projection_constant(space, tol).value / _normalizer(spec.normalization, space)
         rows.append(ConvergenceRow(d=d, finite_ratio=ratio, limit=limit, deviation=ratio - limit))
     devs = [abs(r.deviation) for r in rows]
     non_monotone = any(b >= a for a, b in zip(devs, devs[1:]))

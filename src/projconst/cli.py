@@ -12,79 +12,38 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants as constants_mod
 from .asymptotics import LimitSpec, convergence_report, limit_constant
-from .constants import (
-    lambda_complex_homogeneous,
-    lambda_harmonic,
-    lambda_hilbert,
-    lambda_homogeneous,
-    lambda_poly_leq,
-)
+from .constants import lambda_complex_homogeneous, lambda_hilbert, projection_constant
 from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .geometry import Family, SpaceId, dim_space
 from .kernels import kernel_axial_closed, kernel_axial_sum
+from .result import ComputationResult
 from .verify import run_checks
 
 CSV_HEADER = "family,n,d,dim,value,abs_err,method"
 
-FAMILIES = [
-    "harmonic",
-    "homogeneous",
-    "polyleq",
-    "complex-homogeneous",
-    "hilbert-real",
-    "hilbert-complex",
-]
+
+def _sphere(family: Family):
+    return (
+        lambda n, d, tol: projection_constant(SpaceId(family, n, d), tol),
+        lambda n, d: dim_space(SpaceId(family, n, d)),
+    )
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    family: str
-    n: int
-    d: int
-    dim: int
-    value: float
-    abs_err: float
-    method: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "n": self.n,
-                "d": self.d,
-                "dim": self.dim,
-                "value": self.value,
-                "abs_err": self.abs_err,
-                "method": self.method,
-            }
-        )
-
-    def to_csv(self) -> str:
-        return (
-            f"{self.family},{self.n},{self.d},{self.dim},"
-            f"{self.value!r},{self.abs_err!r},{self.method}"
-        )
-
-    def to_text(self) -> str:
-        return (
-            f"{self.family} n={self.n} d={self.d} dim={self.dim}: "
-            f"{self.value:.15g} ± {self.abs_err:.3g} [{self.method}]"
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "OutputRecord":
-        return cls(**json.loads(line))
-
-    @classmethod
-    def from_csv(cls, line: str) -> "OutputRecord":
-        family, n, d, dim, value, abs_err, method = line.split(",")
-        return cls(family, int(n), int(d), int(dim), float(value), float(abs_err), method)
+# family -> (lambda from (n, d, tol), dim from (n, d))
+COMPUTE = {
+    **{family.value: _sphere(family) for family in Family},
+    "complex-homogeneous": (
+        lambda n, d, tol: lambda_complex_homogeneous(n, d),
+        lambda n, d: math.comb(n + d - 1, d),
+    ),
+    "hilbert-real": (lambda n, d, tol: lambda_hilbert(n, "real"), lambda n, d: n),
+    "hilbert-complex": (lambda n, d, tol: lambda_hilbert(n, "complex"), lambda n, d: n),
+}
+FAMILIES = list(COMPUTE)
 
 
 def _default_tol() -> float:
@@ -97,60 +56,34 @@ def _default_tol() -> float:
         raise DomainError(f"PROJCONST_TOL is not a float: {raw!r}")
 
 
-def _record_dim(family: str, n: int, d: int) -> int:
-    if family in ("harmonic", "homogeneous", "polyleq"):
-        return dim_space(SpaceId(Family(family), n, d))
-    if family == "complex-homogeneous":
-        return math.comb(n + d - 1, d)
-    return n
-
-
-def _compute_record(family: str, n: int, d: int, tol: float) -> OutputRecord:
-    if family == "harmonic":
-        res = lambda_harmonic(n, d, tol)
-    elif family == "homogeneous":
-        res = lambda_homogeneous(n, d, tol)
-    elif family == "polyleq":
-        res = lambda_poly_leq(n, d, tol)
-    elif family == "complex-homogeneous":
-        res = lambda_complex_homogeneous(n, d)
-    elif family == "hilbert-real":
-        res = lambda_hilbert(n, "real")
-    elif family == "hilbert-complex":
-        res = lambda_hilbert(n, "complex")
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    return OutputRecord(
-        family=family,
-        n=n,
-        d=d,
-        dim=_record_dim(family, n, d),
-        value=res.value,
-        abs_err=res.abs_err,
-        method=res.method,
-    )
-
-
-def _emit(record: OutputRecord, fmt: str, out) -> None:
+def _emit(family: str, n: int, d: int, dim: int, res: ComputationResult, fmt: str) -> None:
     if fmt == "json":
-        print(record.to_json(), file=out)
+        line = json.dumps({
+            "family": family, "n": n, "d": d, "dim": dim,
+            "value": res.value, "abs_err": res.abs_err, "method": res.method,
+        })
     elif fmt == "csv":
-        print(record.to_csv(), file=out)
+        line = f"{family},{n},{d},{dim},{res.value!r},{res.abs_err!r},{res.method}"
     else:
-        print(record.to_text(), file=out)
+        line = (
+            f"{family} n={n} d={d} dim={dim}: "
+            f"{res.value:.15g} ± {res.abs_err:.3g} [{res.method}]"
+        )
+    print(line)
 
 
 def cmd_compute(args) -> int:
     tol = args.tol if args.tol is not None else _default_tol()
+    compute, dim = COMPUTE[args.family]
     try:
-        record = _compute_record(args.family, args.n, args.d, tol)
+        res = compute(args.n, args.d, tol)
     except (DomainError, UnsupportedCombinationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToleranceError as exc:
         print(f"tolerance not met: {exc}", file=sys.stderr)
         return 3
-    _emit(record, args.format, sys.stdout)
+    _emit(args.family, args.n, args.d, dim(args.n, args.d), res, args.format)
     return 0
 
 
@@ -162,22 +95,18 @@ def cmd_table(args) -> int:
         return 2
     if args.format == "csv":
         print(CSV_HEADER)
+    compute, dim = COMPUTE[args.family]
     status = 0
     for d in range(d_min, args.d_max + 1):
         try:
-            record = _compute_record(args.family, args.n, d, tol)
+            res = compute(args.n, d, tol)
         except (DomainError, UnsupportedCombinationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ToleranceError as exc:
-            marker = OutputRecord(
-                args.family, args.n, d, _record_dim(args.family, args.n, d),
-                float("nan"), exc.achieved, "ToleranceFailure",
-            )
-            _emit(marker, args.format, sys.stdout)
+            res = ComputationResult(float("nan"), exc.achieved, "ToleranceFailure")
             status = 3
-            continue
-        _emit(record, args.format, sys.stdout)
+        _emit(args.family, args.n, d, dim(args.n, d), res, args.format)
     return status
 
 
@@ -218,12 +147,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.inject_fault:
-        constants_mod._FAULT_SCALE = 1.01
-    try:
-        results = run_checks(seed=args.seed, quick=args.quick)
-    finally:
-        constants_mod._FAULT_SCALE = 1.0
+    results = run_checks(seed=args.seed, quick=args.quick, inject_fault=args.inject_fault)
     n_failures = 0
     for result in results:
         for failure in result.failures:

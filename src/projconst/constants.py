@@ -13,12 +13,13 @@ import math
 
 from .errors import DomainError, ToleranceError
 from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
-from .geometry import Family, SpaceId, axial_constant, dim_space
+from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, kernel_scale
 from .orthopoly import JacobiParams
 from .quadrature import DEFAULT_TOL, dirichlet_lebesgue, integrate_abs_kernel
 from .result import ComputationResult
 
 __all__ = [
+    "projection_constant",
     "lambda_harmonic",
     "lambda_homogeneous",
     "lambda_poly_leq",
@@ -26,34 +27,37 @@ __all__ = [
     "lambda_hilbert",
 ]
 
-# verification hook: set by the CLI fault-injection flag to scale every
-# lambda of the n >= 3 route, proving the check harness detects a wrong constant
-_FAULT_SCALE = 1.0
 
+def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> ComputationResult:
+    """Projection constant of a harmonic or polynomial space on S^{n-1}.
 
-def _exact_lambda(
-    family: Family, n: int, d: int, degrees: range, roots_of: JacobiParams, tol: float
-) -> ComputationResult:
-    """lambda for n >= 3 from the exact arch sum over the kernel's roots.
-
-    tol bounds the error of the Jacobi-normalized integral
-    Int |P_d^{(a,b)}(t)| (1-t^2)^((n-3)/2) dt, with P = roots_of; it equals
-    lambda / prefactor, where prefactor = c_n dim / P(1) since the kernel
-    is dim P / P(1) and P(1) = binom(d+a, d).
+    For n >= 3, lambda is the exact arch sum over the kernel's roots. tol
+    bounds the error of the Jacobi-normalized integral
+    Int |P_d^{(a,b)}(t)| (1-t^2)^((n-3)/2) dt; it equals lambda / prefactor,
+    with prefactor = c_n kernel_scale(space), since the kernel is
+    kernel_scale(space) P.
     """
+    spec = FAMILY_TABLE[space.family]
+    n, d = space.n, space.d
+    if d < spec.min_d:
+        raise DomainError(f"need d >= {spec.min_d}, got {d}")
+    inputs = {"family": space.family.value, "n": n, "d": d}
+    if d == 0:
+        # constants: kernel identically 1
+        return ComputationResult(1.0, 0.0, "ClosedForm", inputs)
+    if n == 2:
+        if spec.dirichlet_kind is None:
+            return ComputationResult(4.0 / math.pi, 0.0, "ClosedForm", inputs)
+        res = dirichlet_lebesgue(d, spec.dirichlet_kind, tol)
+        return ComputationResult(res.value, res.abs_err, res.method, {**inputs, "tol": tol})
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
-    res = integrate_abs_kernel(n, degrees, roots_of)
+    res = integrate_abs_kernel(n, spec.degrees(d), JacobiParams(*spec.jacobi(n), d))
     if not math.isfinite(res.value):
         raise ToleranceError(
             f"lambda overflows double precision at n={n}, d={d}", value=res.value, achieved=math.inf
         )
-    a = roots_of.alpha
-    prefactor = (
-        axial_constant(n)
-        * dim_space(SpaceId(family, n, d))
-        / gamma_ratio(GammaRatioSpec((d + a + 1.0,), (d + 1.0, a + 1.0)))
-    )
+    prefactor = axial_constant(n) * kernel_scale(space)
     achieved = res.abs_err / prefactor
     if not achieved <= tol:
         raise ToleranceError(
@@ -61,65 +65,22 @@ def _exact_lambda(
             value=res.value / prefactor,
             achieved=achieved,
         )
-    return ComputationResult(
-        value=_FAULT_SCALE * res.value,
-        abs_err=_FAULT_SCALE * res.abs_err,
-        method=res.method,
-        inputs={"family": family.value, "n": n, "d": d, "tol": tol},
-    )
+    return ComputationResult(res.value, res.abs_err, res.method, {**inputs, "tol": tol})
 
 
 def lambda_harmonic(n: int, d: int, tol: float = DEFAULT_TOL) -> ComputationResult:
     """Projection constant of degree-d spherical harmonics on S^{n-1}."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if d < 0:
-        raise DomainError(f"need d >= 0, got {d}")
-    if d == 0:
-        # constants: kernel identically 1
-        return ComputationResult(1.0, 0.0, "ClosedForm", {"family": "harmonic", "n": n, "d": d})
-    if n == 2:
-        return ComputationResult(
-            4.0 / math.pi, 0.0, "ClosedForm", {"family": "harmonic", "n": n, "d": d}
-        )
-    gamma = (n - 3) / 2.0
-    return _exact_lambda(Family.HARMONIC, n, d, range(d, d + 1), JacobiParams(gamma, gamma, d), tol)
+    return projection_constant(SpaceId(Family.HARMONIC, n, d), tol)
 
 
 def lambda_homogeneous(n: int, d: int, tol: float = DEFAULT_TOL) -> ComputationResult:
-    """Projection constant of degree-d homogeneous polynomials on S^{n-1}."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if d < 1:
-        raise DomainError(f"need d >= 1, got {d}")
-    if n == 2:
-        res = dirichlet_lebesgue(d, "half", tol)
-        return ComputationResult(
-            res.value, res.abs_err, res.method,
-            {"family": "homogeneous", "n": n, "d": d, "tol": tol},
-        )
-    alpha = (n - 1) / 2.0
-    return _exact_lambda(
-        Family.HOMOGENEOUS, n, d, range(d % 2, d + 1, 2), JacobiParams(alpha, alpha, d), tol
-    )
+    """Projection constant of degree-d homogeneous polynomials on S^{n-1} (d >= 1)."""
+    return projection_constant(SpaceId(Family.HOMOGENEOUS, n, d), tol)
 
 
 def lambda_poly_leq(n: int, d: int, tol: float = DEFAULT_TOL) -> ComputationResult:
     """Projection constant of all polynomials of degree <= d on S^{n-1}."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if d < 0:
-        raise DomainError(f"need d >= 0, got {d}")
-    if d == 0:
-        return ComputationResult(1.0, 0.0, "ClosedForm", {"family": "polyleq", "n": n, "d": d})
-    if n == 2:
-        res = dirichlet_lebesgue(d, "full", tol)
-        return ComputationResult(
-            res.value, res.abs_err, res.method,
-            {"family": "polyleq", "n": n, "d": d, "tol": tol},
-        )
-    params = JacobiParams((n - 1) / 2.0, (n - 3) / 2.0, d)
-    return _exact_lambda(Family.POLY_LEQ, n, d, range(d + 1), params, tol)
+    return projection_constant(SpaceId(Family.POLY_LEQ, n, d), tol)
 
 
 def lambda_complex_homogeneous(n: int, d: int) -> ComputationResult:
@@ -128,12 +89,19 @@ def lambda_complex_homogeneous(n: int, d: int) -> ComputationResult:
         raise DomainError(f"need n >= 1, got {n}")
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
-    value = gamma_ratio(
-        GammaRatioSpec(
-            numerator_args=(float(n + d), 1.0 + d / 2.0),
-            denominator_args=(1.0 + d, n + d / 2.0),
+    try:
+        value = gamma_ratio(
+            GammaRatioSpec(
+                numerator_args=(float(n + d), 1.0 + d / 2.0),
+                denominator_args=(1.0 + d, n + d / 2.0),
+            )
         )
-    )
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ToleranceError(
+            f"lambda overflows double precision at n={n}, d={d}", value=value, achieved=math.inf
+        )
     return ComputationResult(
         value=value,
         abs_err=value * 1e-13,

@@ -6,17 +6,21 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DomainError
 from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
 
 __all__ = [
     "Family",
+    "FamilySpec",
+    "FAMILY_TABLE",
     "SpaceId",
     "surface_area",
     "dim_space",
     "harmonic_dim",
     "axial_constant",
+    "kernel_scale",
     "monomial_moment",
     "monomial_moment_exact",
 ]
@@ -26,6 +30,36 @@ class Family(str, enum.Enum):
     HARMONIC = "harmonic"
     HOMOGENEOUS = "homogeneous"
     POLY_LEQ = "polyleq"
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """What distinguishes one sphere family from another.
+
+    lambda is defined for d >= min_d. The space of degree d spans the
+    harmonics of the degrees in degrees(d); for n >= 3 its axial kernel is a
+    multiple of the Jacobi polynomial P_d^{(a,b)} with (a, b) = jacobi(n).
+    For n = 2, lambda is the Dirichlet integral
+    dirichlet_lebesgue(d, dirichlet_kind), or 4/pi where that kind is None.
+    """
+
+    min_d: int
+    degrees: Callable[[int], range]
+    jacobi: Callable[[int], tuple[float, float]]
+    dirichlet_kind: str | None
+
+
+FAMILY_TABLE = {
+    Family.HARMONIC: FamilySpec(
+        0, lambda d: range(d, d + 1), lambda n: ((n - 3) / 2.0, (n - 3) / 2.0), None
+    ),
+    Family.HOMOGENEOUS: FamilySpec(
+        1, lambda d: range(d % 2, d + 1, 2), lambda n: ((n - 1) / 2.0, (n - 1) / 2.0), "half"
+    ),
+    Family.POLY_LEQ: FamilySpec(
+        0, lambda d: range(d + 1), lambda n: ((n - 1) / 2.0, (n - 3) / 2.0), "full"
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +120,16 @@ def axial_constant(n: int) -> float:
     if n % 2:
         return gamma_ratio(GammaRatioSpec((n / 2.0, 1.0), (0.5, (n - 1) / 2.0)))
     return gamma_ratio(GammaRatioSpec((n / 2.0, 0.5), (1.0, (n - 1) / 2.0))) / math.pi
+
+
+def kernel_scale(space: SpaceId) -> float:
+    """dim / P(1): the axial kernel is kernel_scale * P for n >= 3.
+
+    P = P_d^{(a,b)} with (a, b) from the family table, and P(1) = binom(d+a, d).
+    """
+    a = FAMILY_TABLE[space.family].jacobi(space.n)[0]
+    d = space.d
+    return space.dim / gamma_ratio(GammaRatioSpec((d + a + 1.0,), (d + 1.0, a + 1.0)))
 
 
 def _double_factorial(k: int) -> int:

@@ -12,9 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-from .gammafn import log_gamma
-from .geometry import Family, SpaceId, axial_constant, harmonic_dim
+from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, harmonic_dim, kernel_scale
 from .orthopoly import JacobiParams, _clamp, jacobi_eval, legendre_nd_eval
 from .quadrature import gauss_jacobi_rule
 from .result import ComputationResult
@@ -22,21 +20,12 @@ from .result import ComputationResult
 __all__ = ["kernel_axial_sum", "kernel_axial_closed", "kernel_l2_norm"]
 
 
-def _sum_terms(space: SpaceId) -> list[int]:
-    """Degrees contributing to the sum representation."""
-    if space.family is Family.HARMONIC:
-        return [space.d]
-    if space.family is Family.HOMOGENEOUS:
-        return [space.d - 2 * j for j in range(space.d // 2 + 1)]
-    return list(range(space.d + 1))
-
-
 def kernel_axial_sum(space: SpaceId, t):
     """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form."""
     arr = _clamp(t)
     total = np.zeros_like(arr)
     comp = np.zeros_like(arr)
-    for j in sorted(_sum_terms(space)):
+    for j in FAMILY_TABLE[space.family].degrees(space.d):
         term = harmonic_dim(space.n, j) * legendre_nd_eval(space.n, j, arr)
         # Kahan step, vectorized
         y = term - comp
@@ -72,50 +61,26 @@ def _closed_trig(space: SpaceId, arr: np.ndarray) -> np.ndarray:
 
 
 def kernel_axial_closed(space: SpaceId, t):
-    """Collapsed kernel form: one Jacobi polynomial with a log-space prefactor."""
+    """Collapsed kernel form: one Jacobi polynomial, kernel_scale(space) P_d^{(a,b)}."""
     arr = _clamp(t)
     n, d = space.n, space.d
     if n == 2:
         out = _closed_trig(space, arr)
-        return float(out) if np.ndim(t) == 0 else out
-
-    if space.family is Family.HARMONIC:
-        prefactor = harmonic_dim(n, d) * math.exp(
-            log_gamma(d + 1.0) + log_gamma((n - 1) / 2.0) - log_gamma(d + (n - 1) / 2.0)
-        )
-        params = JacobiParams((n - 3) / 2.0, (n - 3) / 2.0, d)
-    elif space.family is Family.HOMOGENEOUS:
-        prefactor = 0.5 * math.exp(
-            log_gamma((n - 1) / 2.0)
-            - log_gamma(n - 1.0)
-            + log_gamma(d + n)
-            - log_gamma(d + (n + 1) / 2.0)
-        )
-        params = JacobiParams((n - 1) / 2.0, (n - 1) / 2.0, d)
     else:
-        prefactor = math.exp(
-            log_gamma((n - 1) / 2.0)
-            - log_gamma(n - 1.0)
-            + log_gamma(d + n - 1.0)
-            - log_gamma(d + (n - 1) / 2.0)
-        )
-        params = JacobiParams((n - 1) / 2.0, (n - 3) / 2.0, d)
-
-    out = prefactor * jacobi_eval(params, arr)
+        params = JacobiParams(*FAMILY_TABLE[space.family].jacobi(n), d)
+        out = kernel_scale(space) * jacobi_eval(params, arr)
     return float(out) if np.ndim(t) == 0 else out
 
 
-def kernel_l2_norm(space: SpaceId, tol: float = 1e-10) -> ComputationResult:
+def kernel_l2_norm(space: SpaceId) -> ComputationResult:
     """Weighted L2 norm of the axial kernel; equals sqrt(dim) in exact arithmetic."""
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
     n, d = space.n, space.d
     gamma = (n - 3) / 2.0
     c_n = axial_constant(n)
 
     def norm_sq(order: int) -> float:
         rule = gauss_jacobi_rule(gamma, gamma, order)
-        k = kernel_axial_closed(space, np.asarray(rule.nodes))
+        k = kernel_axial_closed(space, rule.nodes)
         return c_n * float(np.dot(rule.weights, k * k))
 
     # k^2 has degree 2d: order d+2 is already exact, the doubled rule is the check
@@ -127,5 +92,5 @@ def kernel_l2_norm(space: SpaceId, tol: float = 1e-10) -> ComputationResult:
         value=value,
         abs_err=max(err, value * 1e-15),
         method="JacobiQuadrature",
-        inputs={"space": space, "tol": tol},
+        inputs={"space": space},
     )

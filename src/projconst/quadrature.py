@@ -52,7 +52,7 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for the weight (1-t)^alpha (1+t)^beta on a subinterval.
 
@@ -63,14 +63,12 @@ class QuadratureRule:
     alpha: float
     beta: float
     order: int
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
+    nodes: np.ndarray
+    weights: np.ndarray
     interval: tuple[float, float]
 
     def integrate(self, f) -> float:
-        x = np.asarray(self.nodes)
-        w = np.asarray(self.weights)
-        return float(np.dot(w, f(x)))
+        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def gauss_jacobi_rule(
@@ -113,8 +111,8 @@ def gauss_jacobi_rule(
         alpha=alpha,
         beta=beta,
         order=order,
-        nodes=tuple(float(v) for v in x),
-        weights=tuple(float(v) for v in w),
+        nodes=x,
+        weights=w,
         interval=(lo, hi),
     )
 

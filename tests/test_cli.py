@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from projconst.cli import CSV_HEADER, OutputRecord, main
+from projconst.cli import CSV_HEADER, FAMILIES, main
+from projconst.constants import (
+    lambda_complex_homogeneous,
+    lambda_harmonic,
+    lambda_hilbert,
+    lambda_homogeneous,
+    lambda_poly_leq,
+)
 
 
 def run_cli(capsys, *argv):
@@ -27,11 +34,11 @@ def test_compute_json_roundtrip(capsys):
         "compute", "--family", "polyleq", "--n", "4", "--d", "3", "--format", "json",
     )
     assert code == 0
-    record = OutputRecord.from_json(out.strip())
-    assert record.family == "polyleq"
-    assert record.dim == 30
+    record = json.loads(out.strip())
+    assert record["family"] == "polyleq"
+    assert record["dim"] == 30
     data = json.loads(out)
-    assert data["value"] == record.value  # exact float round-trip
+    assert data["value"] == record["value"]  # exact float round-trip
 
 
 def test_compute_csv_roundtrip(capsys):
@@ -40,9 +47,10 @@ def test_compute_csv_roundtrip(capsys):
         "compute", "--family", "homogeneous", "--n", "3", "--d", "5", "--format", "csv",
     )
     assert code == 0
-    record = OutputRecord.from_csv(out.strip())
-    assert (record.family, record.n, record.d) == ("homogeneous", 3, 5)
-    assert record.to_csv() == out.strip()
+    family, n, d, dim, value, abs_err, method = out.strip().split(",")
+    assert (family, int(n), int(d)) == ("homogeneous", 3, 5)
+    fields = (family, int(n), int(d), int(dim), repr(float(value)), repr(float(abs_err)), method)
+    assert ",".join(map(str, fields)) == out.strip()
 
 
 def test_compute_hilbert_families(capsys):
@@ -52,6 +60,48 @@ def test_compute_hilbert_families(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(4 / math.pi, rel=1e-12)
+
+
+LIBRARY = {
+    "harmonic": (lambda n, d: lambda_harmonic(n, d), lambda n, d: math.comb(n + d - 1, d) - math.comb(n + d - 3, d - 2)),
+    "homogeneous": (lambda n, d: lambda_homogeneous(n, d), lambda n, d: math.comb(n + d - 1, d)),
+    "polyleq": (lambda n, d: lambda_poly_leq(n, d), lambda n, d: math.comb(n + d - 1, d) + math.comb(n + d - 2, d - 1)),
+    "complex-homogeneous": (lambda n, d: lambda_complex_homogeneous(n, d), lambda n, d: math.comb(n + d - 1, d)),
+    "hilbert-real": (lambda n, d: lambda_hilbert(n, "real"), lambda n, d: n),
+    "hilbert-complex": (lambda n, d: lambda_hilbert(n, "complex"), lambda n, d: n),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n,d", [(2, 3), (4, 3), (7, 12)])
+def test_compute_json_matches_library(capsys, family, n, d):
+    code, out, _ = run_cli(
+        capsys, "compute", "--family", family, "--n", str(n), "--d", str(d), "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    lam, dim = LIBRARY[family]
+    expected = lam(n, d)
+    assert list(record) == ["family", "n", "d", "dim", "value", "abs_err", "method"]
+    assert (record["family"], record["n"], record["d"], record["dim"]) == (family, n, d, dim(n, d))
+    assert (record["value"], record["abs_err"], record["method"]) == (
+        expected.value, expected.abs_err, expected.method
+    )
+
+
+def test_complex_homogeneous_overflow_exit_3(capsys):
+    argv = ("--family", "complex-homogeneous", "--n", "1500")
+    code, out, err = run_cli(capsys, "compute", *argv, "--d", "3000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tolerance not met")
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "table", *argv, "--d-min", "2999", "--d-max", "3000")
+    assert code == 3
+    lines = out.strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines[1].endswith("ToleranceFailure")
+    assert lines[1].split(",")[:4] == ["complex-homogeneous", "1500", "2999", str(math.comb(4498, 2999))]
 
 
 def test_compute_usage_error_exit_2(capsys):
@@ -99,9 +149,9 @@ def test_table_csv(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
-    records = [OutputRecord.from_csv(line) for line in lines[1:]]
-    assert [r.d for r in records] == [1, 2, 3, 4]
-    assert records[1].value == pytest.approx(10 * math.sqrt(3) / 9, rel=1e-10)
+    records = [line.split(",") for line in lines[1:]]
+    assert [int(r[2]) for r in records] == [1, 2, 3, 4]
+    assert float(records[1][4]) == pytest.approx(10 * math.sqrt(3) / 9, rel=1e-10)
 
 
 def test_table_matches_compute(capsys):
@@ -193,7 +243,7 @@ def test_verify_fault_injection_detected(capsys):
     for failure in failures:
         assert {"check", "expected", "got", "tolerance"} <= set(failure)
     assert "0 failures" not in lines[-1]
-    # the fault scale must be restored afterwards
+    # the fault is an argument, not state: the next unfaulted run passes
     code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
     assert code == 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from projconst.errors import DomainError
 from projconst.geometry import (
+    FAMILY_TABLE,
     Family,
     SpaceId,
     axial_constant,
@@ -55,6 +56,15 @@ def test_dim_split_identities(n, d):
     assert homo == harmonic_dim(n, d) + homo_minus2
     total = dim_space(SpaceId(Family.POLY_LEQ, n, d))
     assert total == sum(harmonic_dim(n, k) for k in range(d + 1))
+
+
+def test_family_table_degrees_span_the_space():
+    for family, spec in FAMILY_TABLE.items():
+        for n in range(2, 9):
+            for d in range(spec.min_d, 25):
+                degrees = spec.degrees(d)
+                assert max(degrees) == d
+                assert sum(harmonic_dim(n, k) for k in degrees) == dim_space(SpaceId(family, n, d))
 
 
 def test_axial_constant_values():

@@ -78,7 +78,7 @@ def test_kernel_endpoint_minus_one_homogeneous():
 def test_kernel_sum_closed_agreement():
     rng = np.random.default_rng(11)
     t = rng.uniform(-1.0, 1.0, size=500)
-    for space in _spaces(range(2, 6), (0, 1, 2, 5, 9, 14)):
+    for space in _spaces(range(2, 12), (0, 1, 2, 5, 9, 14, 20, 30)):
         dim = dim_space(space)
         a = kernel_axial_sum(space, t)
         b = kernel_axial_closed(space, t)

@@ -126,10 +126,20 @@ def kernel_scale(space: SpaceId) -> float:
     """dim / P(1): the axial kernel is kernel_scale * P for n >= 3.
 
     P = P_d^{(a,b)} with (a, b) from the family table, and P(1) = binom(d+a, d).
+    Where the exact integer dim or P(1) exceeds the float range, the ratio
+    comes from logarithms (math.log takes the int as it is) and is inf only
+    if it overflows itself.
     """
     a = FAMILY_TABLE[space.family].jacobi(space.n)[0]
     d = space.d
-    return space.dim / gamma_ratio(GammaRatioSpec((d + a + 1.0,), (d + 1.0, a + 1.0)))
+    try:
+        return space.dim / gamma_ratio(GammaRatioSpec((d + a + 1.0,), (d + 1.0, a + 1.0)))
+    except OverflowError:
+        log_p_one = log_gamma(d + a + 1.0) - log_gamma(d + 1.0) - log_gamma(a + 1.0)
+        try:
+            return math.exp(math.log(space.dim) - log_p_one)
+        except OverflowError:
+            return math.inf
 
 
 def _double_factorial(k: int) -> int:

@@ -5,6 +5,12 @@ Jacobi polynomials are evaluated by the three-term recurrence in the degree
 The degree-d axially invariant harmonic profile in n variables is generated
 from its coefficient ratio recurrence, which avoids the catastrophic
 cancellation of the closed gamma-quotient form.
+
+Roots come from the eigenvalues of the symmetric tridiagonal recurrence
+matrix and one Newton step each, with P_d and P'_d from a single recurrence
+pass (P'_d follows from P_d and P_{d-1}). For a = b the quadratic
+transformation to a Jacobi polynomial of half the degree halves the
+eigenproblem.
 """
 
 from __future__ import annotations
@@ -62,10 +68,12 @@ def _clamp(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
-    """Three-term recurrence in the degree, vectorized over t."""
+def _jacobi_recurrence_pair(
+    alpha: float, beta: float, degree: int, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P_d, P_{d-1}) by the three-term recurrence in the degree, vectorized over t."""
     if degree == 0:
-        return np.ones_like(t)
+        return np.ones_like(t), np.zeros_like(t)
     p_prev = np.ones_like(t)
     p = 0.5 * (alpha + beta + 2.0) * t + 0.5 * (alpha - beta)
     ab = alpha + beta
@@ -75,7 +83,25 @@ def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) ->
         c3 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
         p, p_prev = ((c2 + c3 * t) * p - c4 * p_prev) / c1, p
-    return p
+    return p, p_prev
+
+
+def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
+    """P_d^{(a,b)}(t), vectorized over t."""
+    return _jacobi_recurrence_pair(alpha, beta, degree, t)[0]
+
+
+def _jacobi_value_deriv(
+    alpha: float, beta: float, degree: int, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P_d, P'_d) at t in (-1, 1) from one recurrence pass, d >= 1.
+
+    (2d+a+b)(1-t^2) P'_d = d((a-b) - (2d+a+b) t) P_d + 2(d+a)(d+b) P_{d-1}.
+    """
+    p, p_prev = _jacobi_recurrence_pair(alpha, beta, degree, t)
+    s = 2.0 * degree + alpha + beta
+    num = degree * ((alpha - beta) - s * t) * p + 2.0 * (degree + alpha) * (degree + beta) * p_prev
+    return p, num / (s * (1.0 - t) * (1.0 + t))
 
 
 def jacobi_eval(params: JacobiParams, t):
@@ -204,25 +230,46 @@ def _recurrence_tridiagonal(alpha: float, beta: float, degree: int):
     return diag, off
 
 
+def _eigen_newton(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the recurrence matrix and the Newton step P/P' at each.
+
+    The roots of P_d^{(a,b)} are the eigenvalues minus the steps; a step that
+    is not finite or exceeds 1e-6 raises ConvergenceError.
+    """
+    nodes = eigvalsh_tridiagonal(*_recurrence_tridiagonal(alpha, beta, degree))
+    values, derivs = _jacobi_value_deriv(alpha, beta, degree, nodes)
+    step = values / derivs
+    bad = ~np.isfinite(step) | (np.abs(step) > 1e-6)
+    if np.any(bad):
+        raise ConvergenceError(
+            f"Newton polish of P_{degree}^({alpha},{beta}) diverged at root indices "
+            f"{np.nonzero(bad)[0].tolist()}"
+        )
+    return nodes, step
+
+
 def jacobi_roots(params: JacobiParams) -> list[float]:
     """All roots of P_d^{(a,b)}, strictly increasing, in (-1, 1).
 
     Eigenvalues of the symmetric tridiagonal recurrence matrix followed by one
-    Newton polish per root.
+    Newton step per root, with P' from the same recurrence pass as P. For
+    a = b and d >= 2 the problem is halved by the quadratic transformation
+    (DLMF 18.7.13-14): P_{2m}^{(a,a)}(x) is a multiple of P_m^{(a,-1/2)}(2x^2-1)
+    and P_{2m+1}^{(a,a)}(x) of x P_m^{(a,1/2)}(2x^2-1), so the roots are
+    +-sqrt((1+y)/2) over the roots y of the degree-floor(d/2) polynomial, plus
+    0 for odd d; the eigensolve and the polish then cost a quarter as much.
     """
-    d = params.degree
+    a, b, d = params.alpha, params.beta, params.degree
     if d < 1:
         raise DomainError("jacobi_roots requires degree >= 1")
-    diag, off = _recurrence_tridiagonal(params.alpha, params.beta, d)
-    nodes = eigvalsh_tridiagonal(diag, off)
-
-    values = _jacobi_recurrence(params.alpha, params.beta, d, nodes)
-    derivs = jacobi_deriv(params, nodes)
-    polished = nodes - values / derivs
-    bad = ~np.isfinite(polished) | (np.abs(polished - nodes) > 1e-6)
-    if np.any(bad):
-        raise ConvergenceError(
-            f"Newton polish diverged at root indices {np.nonzero(bad)[0].tolist()}"
-        )
-    polished = np.clip(polished, -1.0, 1.0)
-    return [float(r) for r in polished]
+    if a == b and d >= 2:
+        y, step = _eigen_newton(a, 0.5 if d % 2 else -0.5, d // 2)
+        # (1 + y) - step, not 1 + (y - step): 1 + y is exact near y = -1, so
+        # the smallest roots keep the relative accuracy that rounding the
+        # polished y would cost them (about 1e-14 absolute at d = 1600)
+        pos = np.sqrt(0.5 * np.clip((1.0 + y) - step, 0.0, 2.0))
+        roots = np.concatenate((-pos[::-1], [0.0] if d % 2 else [], pos))
+    else:
+        nodes, step = _eigen_newton(a, b, d)
+        roots = np.clip(nodes - step, -1.0, 1.0)
+    return roots.tolist()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .asymptotics import LimitSpec, limit_constant
 from .constants import (
@@ -26,6 +27,7 @@ from .kernels import kernel_axial_closed, kernel_axial_sum, kernel_l2_norm
 from .oracle import gram_basis, kernel_bruteforce, montecarlo_sphere
 from .orthopoly import (
     JacobiParams,
+    _recurrence_tridiagonal,
     jacobi_eval,
     jacobi_roots,
     jacobi_symmetry_check,
@@ -109,6 +111,13 @@ def _check_orthopoly(seed: int, quick: bool) -> list[dict]:
         for i in range(d):
             if not (hi[i] < lo[i] < hi[i + 1]):
                 failures.append(_fail(f"orthopoly.interlacing[{d}]", "interlace", (hi[i], lo[i], hi[i + 1]), 0.0))
+    # symmetric roots come from a half-size problem; the full eigensolve agrees
+    for d in (7, 8):
+        got = np.array(jacobi_roots(JacobiParams(0.5, 0.5, d)))
+        full = eigvalsh_tridiagonal(*_recurrence_tridiagonal(0.5, 0.5, d))
+        err = float(np.max(np.abs(got - full)))
+        if err > 1e-13:
+            failures.append(_fail(f"orthopoly.symmetric_roots[{d}]", 0.0, err, 1e-13))
     return failures
 
 

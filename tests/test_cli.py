@@ -89,6 +89,22 @@ def test_compute_json_matches_library(capsys, family, n, d):
     )
 
 
+@pytest.mark.parametrize("family", ["harmonic", "homogeneous", "polyleq"])
+def test_compute_dim_beyond_float_range(capsys, family):
+    # dim exceeds the float range while lambda does not
+    argv = ("compute", "--family", family, "--n", "520", "--d", "560")
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e300", "--format", "json")
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["dim"] > 2**1024
+    assert math.isfinite(record["value"]) and record["value"] > 1.0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tolerance not met")
+    assert "Traceback" not in err
+
+
 def test_complex_homogeneous_overflow_exit_3(capsys):
     argv = ("--family", "complex-homogeneous", "--n", "1500")
     code, out, err = run_cli(capsys, "compute", *argv, "--d", "3000")

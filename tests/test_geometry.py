@@ -1,7 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from projconst.geometry import (
     axial_constant,
     dim_space,
     harmonic_dim,
+    kernel_scale,
     monomial_moment,
     monomial_moment_exact,
     surface_area,
@@ -128,3 +131,14 @@ def test_domain_errors():
         monomial_moment_exact(3, (2, 0))
     with pytest.raises(DomainError):
         monomial_moment_exact(2, (-2, 0))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_kernel_scale_beyond_float_dim(family):
+    # dim exceeds the float range (about 1.8e308); dim / P(1) does not
+    space = SpaceId(family, 520, 560)
+    assert space.dim > int(sys.float_info.max)
+    a = FAMILY_TABLE[family].jacobi(space.n)[0]
+    with mp.workdps(30):
+        expect = mp.mpf(space.dim) / mp.binomial(space.d + a, space.d)
+    assert kernel_scale(space) == pytest.approx(float(expect), rel=1e-12)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from projconst.errors import DomainError
 from projconst.orthopoly import (
     JacobiParams,
+    _jacobi_value_deriv,
+    _recurrence_tridiagonal,
     gegenbauer_eval,
     gegenbauer_norm_sq,
     jacobi_deriv,
@@ -186,6 +189,14 @@ def test_jacobi_roots_chebyshev():
     assert np.allclose(roots, expect, atol=1e-13)
 
 
+@pytest.mark.parametrize("d", [8, 200, 201])
+def test_jacobi_roots_chebyshev_both_parities(d):
+    # even d takes a half problem that is itself symmetric, P_{d/2}^{(-1/2,-1/2)}
+    roots = np.array(jacobi_roots(JacobiParams(-0.5, -0.5, d)))
+    expect = np.cos((2 * np.arange(d, 0, -1) - 1) * math.pi / (2 * d))
+    assert np.max(np.abs(roots - expect)) <= 1e-13
+
+
 def test_jacobi_roots_residual_and_interlacing():
     for alpha, beta_ in ((0.0, 0.0), (0.5, -0.5), (1.5, 0.5)):
         prev = None
@@ -202,3 +213,44 @@ def test_jacobi_roots_residual_and_interlacing():
                 for lo, hi in zip(roots[:-1], roots[1:]):
                     assert np.any((prev > lo) & (prev < hi))
             prev = roots
+
+
+def _full_eigensolve(alpha, beta_, d):
+    return eigvalsh_tridiagonal(*_recurrence_tridiagonal(alpha, beta_, d))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 3.5, 23.5, 24.5])
+def test_jacobi_roots_symmetric_half_size(alpha):
+    # a = b takes the half-size problem; it must agree with the full one
+    for d in range(1, 81):
+        roots = np.array(jacobi_roots(JacobiParams(alpha, alpha, d)))
+        assert np.max(np.abs(roots - _full_eigensolve(alpha, alpha, d))) <= 1e-13, d
+        assert np.array_equal(roots, -roots[::-1]), d
+        assert np.all(np.diff(roots) > 0), d
+        if d % 2:
+            assert roots[d // 2] == 0.0 and np.count_nonzero(roots == 0.0) == 1, d
+
+
+@pytest.mark.parametrize("d", [2000, 2001])
+def test_jacobi_roots_symmetric_large_degree(d):
+    roots = np.array(jacobi_roots(JacobiParams(3.5, 3.5, d)))
+    assert np.max(np.abs(roots - _full_eigensolve(3.5, 3.5, d))) <= 1e-13
+    assert np.array_equal(roots, -roots[::-1])
+    assert (0.0 in roots) == bool(d % 2)
+
+
+@pytest.mark.parametrize("alpha, beta_", [(0.0, 0.0), (3.5, 3.5), (1.5, -0.5)])
+def test_one_pass_derivative_matches_jacobi_deriv(alpha, beta_):
+    # P' from (P_d, P_{d-1}) of one recurrence pass, as the root polish uses it
+    t = np.linspace(-0.95, 0.95, 191)
+    for d in (1, 2, 5, 20, 100):
+        p = JacobiParams(alpha, beta_, d)
+        value, deriv = _jacobi_value_deriv(alpha, beta_, d, t)
+        expect = jacobi_deriv(p, t)
+        assert np.array_equal(value, jacobi_eval(p, t))
+        assert np.max(np.abs(deriv - expect)) <= 1e-12 * np.max(np.abs(expect)), d
+        # pointwise at the roots, where P' is far from zero
+        roots = np.array(jacobi_roots(p))
+        _, deriv = _jacobi_value_deriv(alpha, beta_, d, roots)
+        expect = jacobi_deriv(p, roots)
+        assert np.all(np.abs(deriv - expect) <= 1e-12 * np.abs(expect)), d

@@ -167,8 +167,16 @@ def cmd_kernel(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ts = np.linspace(-1.0, 1.0, args.samples)
-    k_sum = kernel_axial_sum(space, ts)
-    k_closed = kernel_axial_closed(space, ts)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_sum = kernel_axial_sum(space, ts)
+            k_closed = kernel_axial_closed(space, ts)
+    except OverflowError:  # a harmonic dimension beyond the float range
+        k_sum = k_closed = np.full_like(ts, np.inf)
+    if not np.isfinite([k_sum, k_closed]).all():
+        print(f"tolerance not met: kernel overflows double precision at n={args.n}, d={args.d}",
+              file=sys.stderr)
+        return 3
     if args.format == "csv":
         print("t,k_sum,k_closed")
     for t, a, b in zip(ts, k_sum, k_closed):

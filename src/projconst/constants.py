@@ -3,15 +3,16 @@
 Each lambda reduces to a gamma-ratio prefactor times a weighted L1 norm of a
 single Jacobi polynomial, the axial kernel, whose arches have closed
 antiderivatives (see quadrature.integrate_abs_kernel); n = 2 is always served
-by trigonometric closed forms or Dirichlet-kernel integrals (the Jacobi route
-would hit the gamma = -1/2 endpoint singularity for no benefit).
+by trigonometric closed forms or Dirichlet-kernel integrals, which are
+Fejer's finite sums of tangents (the Jacobi route would hit the gamma = -1/2
+endpoint singularity for no benefit).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ToleranceError
+from .errors import ConvergenceError, DomainError, ToleranceError
 from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
 from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, kernel_scale
 from .orthopoly import JacobiParams
@@ -45,14 +46,17 @@ def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> Computation
     if d == 0:
         # constants: kernel identically 1
         return ComputationResult(1.0, 0.0, "ClosedForm", inputs)
+    if tol <= 0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if n == 2:
         if spec.dirichlet_kind is None:
             return ComputationResult(4.0 / math.pi, 0.0, "ClosedForm", inputs)
         res = dirichlet_lebesgue(d, spec.dirichlet_kind, tol)
         return ComputationResult(res.value, res.abs_err, res.method, {**inputs, "tol": tol})
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    res = integrate_abs_kernel(n, spec.degrees(d), JacobiParams(*spec.jacobi(n), d))
+    try:
+        res = integrate_abs_kernel(n, spec.degrees(d), JacobiParams(*spec.jacobi(n), d))
+    except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
+        res = ComputationResult(math.nan, math.inf, "ExactArchSum")
     if not math.isfinite(res.value):
         raise ToleranceError(
             f"lambda overflows double precision at n={n}, d={d}", value=res.value, achieved=math.inf

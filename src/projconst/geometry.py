@@ -40,7 +40,8 @@ class FamilySpec:
     harmonics of the degrees in degrees(d); for n >= 3 its axial kernel is a
     multiple of the Jacobi polynomial P_d^{(a,b)} with (a, b) = jacobi(n).
     For n = 2, lambda is the Dirichlet integral
-    dirichlet_lebesgue(d, dirichlet_kind), or 4/pi where that kind is None.
+    dirichlet_lebesgue(d, dirichlet_kind), one of Fejer's finite sums of
+    tangents, or 4/pi where that kind is None.
     """
 
     min_d: int

@@ -237,8 +237,9 @@ def _eigen_newton(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, n
     is not finite or exceeds 1e-6 raises ConvergenceError.
     """
     nodes = eigvalsh_tridiagonal(*_recurrence_tridiagonal(alpha, beta, degree))
-    values, derivs = _jacobi_value_deriv(alpha, beta, degree, nodes)
-    step = values / derivs
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a step not finite
+        values, derivs = _jacobi_value_deriv(alpha, beta, degree, nodes)
+        step = values / derivs
     bad = ~np.isfinite(step) | (np.abs(step) > 1e-6)
     if np.any(bad):
         raise ConvergenceError(

@@ -8,7 +8,8 @@ the roots exactly. `integrate_abs_jacobi` is the general route for any
 (a, b, gamma): each smooth arch is integrated to spectral accuracy, endpoint
 weight singularities (gamma < 0) stay inside a Gauss-Jacobi rule on the two
 outermost subintervals, and interior subintervals fold the weight into the
-integrand under plain Gauss-Legendre.
+integrand under plain Gauss-Legendre. The Dirichlet-kernel integrals of
+n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
 """
 
 from __future__ import annotations
@@ -44,9 +45,16 @@ DEFAULT_TOL = 1e-10
 # still meets the default tolerance, which allows up to 59 there.
 _ARCH_SUM_ROUNDING = 48.0
 
+# abs_err of dirichlet_lebesgue, in units of eps times the value. Each term
+# takes about five roundings (the angle, the tangent, its reciprocal, 4/pi and
+# the division by p); against the 300 n = 2 homogeneous and polyleq values of
+# perfbench/reference.json (d up to 1e5) the error reached 1.35 such units;
+# 8 covers all five roundings of every term with a margin.
+_FEJER_ROUNDING = 8.0
+
 
 # bounded, since kernel_l2_norm asks for orders that grow with d; `verify`
-# cycles through ten orders, which a smaller cache would evict and rebuild
+# cycles through six orders, which a smaller cache would evict and rebuild
 @lru_cache(maxsize=32)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
@@ -276,57 +284,32 @@ def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> Comp
     )
 
 
-def _dirichlet_pass(freq: float, n_arches: int, order: int) -> float:
-    """(1/2pi) sum over arches of |sin(freq t)/sin(t/2)| via per-arch Gauss."""
-    s, ws = _leggauss(order)
-    edges = np.arange(n_arches + 1) * (math.pi / freq)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    x = lo[:, None] + half[:, None] * (s[None, :] + 1.0)
-    integrand = np.abs(np.sin(freq * x) / np.sin(0.5 * x))
-    arch_vals = (integrand * ws[None, :]).sum(axis=1) * half
-    return math.fsum(arch_vals.tolist()) / (2.0 * math.pi)
-
-
 def dirichlet_lebesgue(d: int, kind: str, tol: float = DEFAULT_TOL) -> ComputationResult:
     """Lebesgue-type integral of the Dirichlet kernel over a full period.
 
     kind="full": (1/2pi) Int_0^{2pi} |sin((d+1/2)t)/sin(t/2)| dt
     kind="half": (1/2pi) Int_0^{2pi} |sin(((d+1)/2)t)/sin(t/2)| dt
 
-    The numerator zeros are explicit, so the integral is a finite sum of
-    smooth arches, each handled by Gauss-Legendre.
+    With N = 2d+1 ("full") or d+1 ("half") arches, Fejer's (1910) finite sum
+    gives both as [N odd]/N + (4/pi) sum tan(p pi/(2N))/p over 0 < p < N with
+    N-p odd. A tangent beyond pi/4 is taken as 1/tan((N-p) pi/(2N)): N-p is an
+    exact integer, so the small argument keeps full relative accuracy. abs_err
+    is a rounding estimate, a fixed multiple of eps times the summed terms.
     """
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
     if kind not in ("full", "half"):
         raise DomainError(f"kind must be 'full' or 'half', got {kind!r}")
+    if tol <= 0:
+        raise DomainError(f"tol must be positive, got {tol}")
 
-    if kind == "full":
-        freq, n_arches = d + 0.5, 2 * d + 1
-    else:
-        freq, n_arches = (d + 1) / 2.0, d + 1
-
-    order = 16
-    value = _dirichlet_pass(freq, n_arches, order)
-    err = math.inf
-    for _ in range(4):
-        refined = _dirichlet_pass(freq, n_arches, 2 * order)
-        err = abs(refined - value)
-        value = refined
-        order *= 2
-        if err <= tol:
-            break
-    result = ComputationResult(
-        value=value,
-        abs_err=max(err, abs(value) * 1e-15),
-        method="DirichletQuadrature",
-        inputs={"d": d, "kind": kind, "tol": tol},
-    )
+    n_arches = 2 * d + 1 if kind == "full" else d + 1
+    p = np.arange(n_arches - 1, 0, -2, dtype=float)
+    small = np.tan(np.minimum(p, n_arches - p) * (math.pi / (2 * n_arches)))
+    terms = (4.0 / math.pi) * np.where(2 * p <= n_arches, small, 1.0 / small) / p
+    value = math.fsum([1.0 / n_arches if n_arches % 2 else 0.0, *terms.tolist()])
+    # every term is positive, so the summed sizes are the value itself
+    err = _FEJER_ROUNDING * math.ulp(1.0) * value
     if err > tol:
-        raise ToleranceError(
-            f"Dirichlet integral reached {err:.3e}, requested {tol:.3e}",
-            value=value,
-            achieved=err,
-        )
-    return result
+        raise ToleranceError(f"Dirichlet integral reached {err:.3e}, requested {tol:.3e}", value, err)
+    return ComputationResult(value, err, "FejerSum", {"d": d, "kind": kind, "tol": tol})

@@ -14,5 +14,5 @@ class ComputationResult:
 
     value: float
     abs_err: float
-    method: str  # ClosedForm | ExactArchSum | JacobiQuadrature | DirichletQuadrature
+    method: str  # ClosedForm | ExactArchSum | JacobiQuadrature | FejerSum
     inputs: dict[str, Any] = field(default_factory=dict)

@@ -120,6 +120,39 @@ def test_complex_homogeneous_overflow_exit_3(capsys):
     assert lines[1].split(",")[:4] == ["complex-homogeneous", "1500", "2999", str(math.comb(4498, 2999))]
 
 
+def test_polyleq_jacobi_overflow_exit_3(capsys):
+    # P_1000^{(749.5,748.5)} overflows in the recurrence, so no root can be polished
+    argv = ("--family", "polyleq", "--n", "1500", "--tol", "1e300")
+    code, out, err = run_cli(capsys, "compute", *argv, "--d", "1000")
+    assert code == 3
+    assert out == ""
+    assert err == "tolerance not met: lambda overflows double precision at n=1500, d=1000\n"
+    code, out, _ = run_cli(capsys, "table", *argv, "--d-min", "1000", "--d-max", "1000")
+    assert code == 3
+    assert out.strip().splitlines()[1].endswith(",nan,inf,ToleranceFailure")
+
+
+def test_kernel_overflow_exit_3(capsys):
+    # harmonic_dim(520, 560) exceeds the float range
+    code, out, err = run_cli(
+        capsys, "kernel", "--family", "harmonic", "--n", "520", "--d", "560", "--samples", "3"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "tolerance not met: kernel overflows double precision at n=520, d=560\n"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_compute_nonpositive_tol_exit_2(capsys, n, tol):
+    code, out, err = run_cli(
+        capsys, "compute", "--family", "polyleq", "--n", str(n), "--d", "5", "--tol", tol
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tol must be positive")
+
+
 def test_compute_usage_error_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "compute", "--family", "harmonic", "--n", "1", "--d", "2"

@@ -147,12 +147,17 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(seed=args.seed, quick=args.quick, inject_fault=args.inject_fault)
+    results = run_checks(
+        seed=args.seed, quick=args.quick, inject_fault=args.inject_fault, timed=args.explain
+    )
     n_failures = 0
     for result in results:
         for failure in result.failures:
             n_failures += 1
             print(json.dumps(failure))
+        if args.explain:
+            print(json.dumps({"group": result.check_id, "failures": len(result.failures),
+                              "wall_s": result.wall_s}), file=sys.stderr)
     print(f"verify: {len(results)} check groups, {n_failures} failures (seed={args.seed})")
     return 1 if n_failures else 0
 
@@ -233,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--explain", action="store_true",
+                   help="write each check group's failure count and wall time to stderr as JSON")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("kernel", help="sample both kernel representations on a grid")

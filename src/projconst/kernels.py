@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, harmonic_dim, kernel_scale
-from .orthopoly import JacobiParams, _clamp, jacobi_eval, legendre_nd_eval
+from .orthopoly import JacobiParams, _axial_profile, _clamp, jacobi_eval
 from .quadrature import gauss_jacobi_rule
 from .result import ComputationResult
 
@@ -30,10 +30,12 @@ _L2_ROUNDING = 32.0
 def kernel_axial_sum(space: SpaceId, t):
     """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form."""
     arr = _clamp(t)
+    t_sq = arr * arr
+    one_minus = 1.0 - t_sq
     total = np.zeros_like(arr)
     comp = np.zeros_like(arr)
     for j in FAMILY_TABLE[space.family].degrees(space.d):
-        term = harmonic_dim(space.n, j) * legendre_nd_eval(space.n, j, arr)
+        term = harmonic_dim(space.n, j) * _axial_profile(space.n, j, arr, t_sq, one_minus)
         # Kahan step, vectorized
         y = term - comp
         s = total + y

@@ -1,8 +1,8 @@
 """First-principles ground truth for small spaces.
 
-Reproducing kernels are rebuilt from an orthonormal basis produced by
-Gram-Schmidt over restricted monomials, with every inner product an exact
-rational sphere moment; floats appear only in the final normalization.
+Reproducing kernels are rebuilt from an orthonormal basis of restricted
+monomials, orthonormalized by fraction-free integer (Bareiss) elimination
+over exact sphere moments; floats appear only in the final normalization.
 Sphere integrals are also estimated by Monte Carlo for cross-checks.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,11 +47,10 @@ class GramBasis:
     coefficients: np.ndarray  # (dim, len(monomials))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Values of every basis function at a point x in R^n."""
-        mono_vals = np.array(
-            [math.prod(float(xi) ** a for xi, a in zip(x, alpha)) for alpha in self.monomials]
-        )
-        return self.coefficients @ mono_vals
+        """Values of every basis function at points x of shape (..., n); shape (..., dim)."""
+        x = np.asarray(x, dtype=float)
+        mono_vals = np.prod(x[..., None, :] ** np.array(self.monomials), axis=-1)
+        return mono_vals @ self.coefficients.T
 
 
 def _spanning_monomials(space: SpaceId) -> tuple[list[MonomialKey], int]:
@@ -71,8 +69,43 @@ def _spanning_monomials(space: SpaceId) -> tuple[list[MonomialKey], int]:
     return lower + _monomials(n, d), len(lower)
 
 
+def _bareiss_rows(gram: list[list[int]]):
+    """Fraction-free (Bareiss) elimination of [gram | I] in Python integers.
+
+    gram must be symmetric positive semidefinite. A zero pivot means that row
+    depends on the earlier ones, so its whole Schur-complement row and column
+    are zero: it is skipped and never used as a pivot. Yields, for each row k
+    with a nonzero pivot, (k, right half of row k, previous pivot, pivot).
+    After the steps before it, row k is the previous pivot times the row of
+    plain elimination, so right / previous is the Gram-Schmidt vector e_k
+    minus its projection on the earlier rows, and pivot / previous its squared
+    norm in the inner product gram.
+    """
+    m = len(gram)
+    rows = [row + [int(i == j) for j in range(m)] for i, row in enumerate(gram)]
+    prev = 1
+    for k in range(m):
+        row_k = rows[k]
+        pivot = row_k[k]
+        if pivot == 0:
+            continue
+        yield k, row_k[m:], prev, pivot
+        for i in range(k + 1, m):
+            row_i = rows[i]
+            lead = row_i[k]
+            rows[i] = [(pivot * a - lead * b) // prev for a, b in zip(row_i, row_k)]
+        prev = pivot
+
+
 def gram_basis(space: SpaceId) -> GramBasis:
-    """Exact-rational Gram-Schmidt orthonormalization of the spanning set."""
+    """Exact orthonormalization of the spanning set, in the spanning order.
+
+    Monomials whose exponents differ in parity in some coordinate are
+    orthogonal on the sphere, so each parity class is eliminated on its own.
+    The moments are scaled to integers by the common denominator
+    prod_{k<d} (n + 2k), and floats are formed only from exact int / int
+    quotients, which Python rounds correctly.
+    """
     n, d = space.n, space.d
     if n > ORACLE_MAX_N or d > ORACLE_MAX_D:
         raise DomainError(
@@ -80,47 +113,31 @@ def gram_basis(space: SpaceId) -> GramBasis:
         )
     span, block_start = _spanning_monomials(space)
     m = len(span)
+    den = math.prod(n + 2 * k for k in range(d))
+    moments: dict[MonomialKey, int] = {}
 
-    gram = [
-        [
-            monomial_moment_exact(n, tuple(a + b for a, b in zip(span[i], span[j])))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    def scaled_moment(alpha: MonomialKey, beta: MonomialKey) -> int:
+        key = tuple(a + b for a, b in zip(alpha, beta))
+        if key not in moments:
+            exact = monomial_moment_exact(n, key)
+            moments[key] = exact.numerator * (den // exact.denominator)
+        return moments[key]
 
-    def inner(u: list[Fraction], v: list[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = gram[i]
-                total += ui * sum(vj * row[j] for j, vj in enumerate(v) if vj)
-        return total
+    classes: dict[MonomialKey, list[int]] = {}
+    for k, alpha in enumerate(span):
+        classes.setdefault(tuple(a % 2 for a in alpha), []).append(k)
 
-    ortho: list[list[Fraction]] = []
-    norms_sq: list[Fraction] = []
-    from_target_block: list[bool] = []
-    for k in range(m):
-        u = [Fraction(0)] * m
-        u[k] = Fraction(1)
-        # <v_k, u_j> is just row k of the Gram matrix dotted with u_j
-        row_k = gram[k]
-        for u_j, nsq in zip(ortho, norms_sq):
-            proj = sum(c * row_k[j] for j, c in enumerate(u_j) if c) / nsq
-            if proj:
-                u = [a - proj * b for a, b in zip(u, u_j)]
-        nsq = inner(u, u)
-        if nsq == 0:
-            continue  # restriction-induced linear dependence on the sphere
-        ortho.append(u)
-        norms_sq.append(nsq)
-        from_target_block.append(k >= block_start)
+    found: dict[int, np.ndarray] = {}
+    for members in classes.values():
+        gram = [[scaled_moment(span[i], span[j]) for j in members] for i in members]
+        for k, right, prev, pivot in _bareiss_rows(gram):
+            if members[k] < block_start:
+                continue
+            u = np.zeros(m)
+            u[members] = [c / prev for c in right]
+            found[members[k]] = u / math.sqrt(pivot / (prev * den))
 
-    rows = [
-        np.array([float(c) for c in u]) / math.sqrt(float(nsq))
-        for u, nsq, keep in zip(ortho, norms_sq, from_target_block)
-        if keep
-    ]
+    rows = [found[k] for k in sorted(found)]
     coeff = np.array(rows) if rows else np.zeros((0, m))
 
     expected = dim_space(space)
@@ -132,20 +149,22 @@ def gram_basis(space: SpaceId) -> GramBasis:
     return GramBasis(space=space, monomials=tuple(span), coefficients=coeff)
 
 
-def kernel_bruteforce(space: SpaceId, t: float, basis: GramBasis | None = None) -> float:
-    """Kernel slice sum_j f_j(e1) f_j(y) with y = (t, sqrt(1-t^2), 0, ...)."""
-    if abs(t) > 1:
+def kernel_bruteforce(space: SpaceId, t, basis: GramBasis | None = None):
+    """Kernel slice sum_j f_j(e1) f_j(y) with y = (t, sqrt(1-t^2), 0, ...); t may be an array."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(np.abs(arr) > 1):
         raise DomainError(f"need |t| <= 1, got {t}")
     if basis is None:
         basis = gram_basis(space)
     n = space.n
     e1 = np.zeros(n)
     e1[0] = 1.0
-    y = np.zeros(n)
-    y[0] = t
+    y = np.zeros(arr.shape + (n,))
+    y[..., 0] = arr
     if n > 1:
-        y[1] = math.sqrt(max(0.0, 1.0 - t * t))
-    return float(np.dot(basis.evaluate(e1), basis.evaluate(y)))
+        y[..., 1] = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
+    out = basis.evaluate(y) @ basis.evaluate(e1)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def montecarlo_sphere(

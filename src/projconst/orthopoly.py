@@ -188,12 +188,27 @@ def legendre_nd_coeffs(n: int, d: int) -> CoeffList:
 def legendre_nd_eval(n: int, d: int, t):
     """Axial profile: sum_j b_j t^(d-2j) (1-t^2)^j; equals 1 at t = 1."""
     arr = _clamp(t)
-    coeffs = legendre_nd_coeffs(n, d).coeffs
-    one_minus = 1.0 - arr * arr
-    out = np.zeros_like(arr)
-    for j, b in enumerate(coeffs):
-        out += b * arr ** (d - 2 * j) * one_minus**j
+    t_sq = arr * arr
+    out = _axial_profile(n, d, arr, t_sq, 1.0 - t_sq)
     return float(out) if np.ndim(t) == 0 else out
+
+
+def _axial_profile(
+    n: int, d: int, t: np.ndarray, t_sq: np.ndarray, one_minus: np.ndarray
+) -> np.ndarray:
+    """legendre_nd_eval on a clamped array, given t^2 and 1 - t^2.
+
+    Homogeneous Horner in (t^2, 1-t^2): acc <- acc t^2 + b_j (1-t^2)^j with a
+    running power of 1-t^2, then one factor t when d is odd.
+    """
+    coeffs = legendre_nd_coeffs(n, d).coeffs
+    acc = np.full_like(t, coeffs[0])
+    power = np.ones_like(t)
+    for b in coeffs[1:]:
+        power *= one_minus
+        acc *= t_sq
+        acc += b * power
+    return acc * t if d % 2 else acc
 
 
 def legendre_harmonic_eval(n: int, d: int, x) -> float:

@@ -259,10 +259,13 @@ def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> Comp
     coef[ks.astype(int) - 1] = (ks + lam) / (ks * (ks + 2.0 * lam))
     # b_j = coef_j + A_j x b_{j+1} - B_{j+1} b_{j+2} for the recurrence
     # C_{j+1} = A_j x C_j - B_j C_{j-1}, A_j = 2(j+mu)/(j+1), B_j = (j+2mu-1)/(j+1)
+    # at huge n the sums overflow; projection_constant reports the value that
+    # is not finite as a ToleranceError, so numpy's warnings would be noise
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
-    for j in range(d - 1, -1, -1):
-        b1, b2 = coef[j] + (2.0 * (j + mu) / (j + 1)) * x * b1 - ((j + 2.0 * mu) / (j + 2)) * b2, b1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d - 1, -1, -1):
+            b1, b2 = coef[j] + (2.0 * (j + mu) / (j + 1)) * x * b1 - ((j + 2.0 * mu) / (j + 2)) * b2, b1
 
     c_n = axial_constant(n)
     # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error

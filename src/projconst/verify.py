@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = ["run_checks", "CheckResult"]
 class CheckResult:
     check_id: str
     failures: list[dict] = field(default_factory=list)
+    wall_s: float | None = None  # measured only when run_checks is asked to time
 
     @property
     def ok(self) -> bool:
@@ -268,10 +270,9 @@ def _check_oracle(seed: int, quick: bool) -> list[dict]:
                     ))
                     continue
                 dim = dim_space(space)
-                worst = max(
-                    abs(kernel_bruteforce(space, float(t), basis) - kernel_axial_sum(space, float(t)))
-                    for t in ts
-                )
+                worst = float(np.max(np.abs(
+                    kernel_bruteforce(space, ts, basis) - kernel_axial_sum(space, ts)
+                )))
                 if worst > 1e-8 * dim:
                     failures.append(_fail(f"oracle.kernel[{family.value},{n},{d}]", 0.0, worst, 1e-8 * dim))
     if not quick:
@@ -299,10 +300,17 @@ CHECKS: list[tuple[str, Callable[[int, bool], list[dict]]]] = [
 ]
 
 
-def run_checks(seed: int = 42, quick: bool = False, inject_fault: bool = False) -> list[CheckResult]:
-    """Run every check group; inject_fault makes the constants group see wrong values."""
+def run_checks(
+    seed: int = 42, quick: bool = False, inject_fault: bool = False, timed: bool = False
+) -> list[CheckResult]:
+    """Run every check group; inject_fault makes the constants group see wrong values.
+
+    timed records each group's wall time in CheckResult.wall_s.
+    """
     results = []
     for check_id, fn in CHECKS:
+        start = perf_counter() if timed else None
         failures = fn(seed, quick, inject_fault) if check_id == "constants" else fn(seed, quick)
-        results.append(CheckResult(check_id=check_id, failures=failures))
+        wall_s = perf_counter() - start if timed else None
+        results.append(CheckResult(check_id=check_id, failures=failures, wall_s=wall_s))
     return results

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from projconst import verify
 from projconst.cli import CSV_HEADER, FAMILIES, main
 from projconst.constants import (
     lambda_complex_homogeneous,
@@ -130,6 +131,17 @@ def test_polyleq_jacobi_overflow_exit_3(capsys):
     code, out, _ = run_cli(capsys, "table", *argv, "--d-min", "1000", "--d-max", "1000")
     assert code == 3
     assert out.strip().splitlines()[1].endswith(",nan,inf,ToleranceFailure")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+@pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
+def test_symmetric_jacobi_overflow_one_stderr_line(capsys, family):
+    code, out, err = run_cli(
+        capsys, "compute", "--family", family, "--n", "1500", "--d", "1000", "--tol", "1e300"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "tolerance not met: lambda overflows double precision at n=1500, d=1000\n"
 
 
 def test_kernel_overflow_exit_3(capsys):
@@ -281,6 +293,27 @@ def test_verify_quick_deterministic(capsys):
     _, out_a, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
     _, out_b, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
     assert out_a == out_b
+
+
+def test_verify_explain_writes_only_stderr(capsys, monkeypatch):
+    def no_clock():
+        raise AssertionError("verify timed a group without --explain")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "perf_counter", no_clock)
+        code, plain, err = run_cli(capsys, "verify", "--quick", "--seed", "3")
+    assert code == 0
+    assert err == ""
+    code, out, err = run_cli(capsys, "verify", "--quick", "--seed", "3", "--explain")
+    assert code == 0
+    assert out == plain
+    records = [json.loads(line) for line in err.splitlines()]
+    assert [r["group"] for r in records] == [group for group, _ in verify.CHECKS]
+    assert len(records) == 7
+    for record in records:
+        assert set(record) == {"group", "failures", "wall_s"}
+        assert record["failures"] == 0
+        assert record["wall_s"] >= 0.0
 
 
 def test_verify_fault_injection_detected(capsys):

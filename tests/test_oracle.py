@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from projconst.kernels import kernel_axial_closed, kernel_axial_sum
 from projconst.oracle import (
     ORACLE_MAX_D,
     ORACLE_MAX_N,
+    _spanning_monomials,
     gram_basis,
     kernel_bruteforce,
     montecarlo_sphere,
@@ -52,6 +54,51 @@ def test_gram_basis_orthonormal_by_moments():
     assert np.allclose(inner, np.eye(inner.shape[0]), atol=1e-10)
 
 
+def _fraction_gram_schmidt(space: SpaceId) -> np.ndarray:
+    """Reference: Gram-Schmidt over Fractions in the spanning order, floats at the end."""
+    span, block_start = _spanning_monomials(space)
+    m = len(span)
+    gram = [
+        [monomial_moment_exact(space.n, tuple(a + b for a, b in zip(span[i], span[j])))
+         for j in range(m)]
+        for i in range(m)
+    ]
+    ortho, norms_sq, rows = [], [], []
+    for k in range(m):
+        u = [Fraction(int(i == k)) for i in range(m)]
+        for u_j, nsq in zip(ortho, norms_sq):
+            proj = sum(c * gram[k][j] for j, c in enumerate(u_j) if c) / nsq
+            if proj:
+                u = [a - proj * b for a, b in zip(u, u_j)]
+        nsq = sum(
+            ui * sum(vj * gram[i][j] for j, vj in enumerate(u) if vj)
+            for i, ui in enumerate(u) if ui
+        )
+        if nsq == 0:
+            continue  # dependent on the sphere
+        ortho.append(u)
+        norms_sq.append(nsq)
+        if k >= block_start:
+            rows.append(np.array([float(c) for c in u]) / math.sqrt(float(nsq)))
+    return np.array(rows)
+
+
+def _bit_identity_spaces():
+    for family in Family:
+        for n in (2, 3):
+            for d in range(0, 6):
+                yield SpaceId(family, n, d)
+    yield SpaceId(Family.POLY_LEQ, 4, 3)
+    yield SpaceId(Family.HARMONIC, 4, 4)
+
+
+def test_gram_basis_bit_identical_to_fraction_gram_schmidt():
+    for space in _bit_identity_spaces():
+        assert np.array_equal(
+            gram_basis(space).coefficients, _fraction_gram_schmidt(space)
+        ), space
+
+
 def test_gram_basis_scale_guard():
     with pytest.raises(DomainError):
         gram_basis(SpaceId(Family.HARMONIC, ORACLE_MAX_N + 1, 2))
@@ -74,9 +121,24 @@ def test_kernel_bruteforce_matches_fast_kernels():
             ), (space, t)
 
 
+def test_kernel_bruteforce_grid_matches_scalar():
+    ts = np.linspace(-1.0, 1.0, 50)
+    for space in (SpaceId(Family.HARMONIC, 4, 5), SpaceId(Family.POLY_LEQ, 3, 4),
+                  SpaceId(Family.HOMOGENEOUS, 2, 3)):
+        basis = gram_basis(space)
+        grid = kernel_bruteforce(space, ts, basis)
+        assert grid.shape == ts.shape
+        for i in (0, 7, 24, 25, 49):
+            assert grid[i] == pytest.approx(
+                kernel_bruteforce(space, float(ts[i]), basis), abs=1e-13
+            ), (space, ts[i])
+
+
 def test_kernel_bruteforce_domain():
     with pytest.raises(DomainError):
         kernel_bruteforce(SpaceId(Family.HARMONIC, 3, 2), 1.5)
+    with pytest.raises(DomainError):
+        kernel_bruteforce(SpaceId(Family.HARMONIC, 3, 2), np.array([0.0, -1.5]))
 
 
 def test_montecarlo_constant():

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from projconst.errors import DomainError
@@ -144,6 +146,34 @@ def test_legendre_nd_gegenbauer_rescaling():
                 gegenbauer_eval(lam, d, GRID) / scale,
                 atol=1e-11,
             )
+
+
+def _mp_axial_profile(n: int, d: int, ts) -> list:
+    """sum_j b_j t^(d-2j) (1-t^2)^j at 40 digits, with exact rational b_j."""
+    with mp.workdps(40):
+        coeffs, b = [], Fraction(1)
+        for j in range(d // 2 + 1):
+            if j:
+                b *= Fraction(-(d - 2 * j + 2) * (d - 2 * j + 1), 2 * j * (2 * j + n - 3))
+            coeffs.append(mp.mpf(b.numerator) / b.denominator)
+        out = []
+        for t in ts:
+            t = mp.mpf(float(t))
+            one_minus = 1 - t * t
+            out.append(mp.fsum(b * t ** (d - 2 * j) * one_minus**j for j, b in enumerate(coeffs)))
+        return out
+
+
+# worst errors over GRID and these degrees, measured for the Horner form, all
+# at d = 40: 3.4e-11 (n = 2), 5.1e-12 (3), 2.1e-13 (6), 5.1e-14 (8); the
+# bounds keep about a 1.5x margin
+@pytest.mark.parametrize("n, bound", [(2, 5e-11), (3, 8e-12), (6, 3e-13), (8, 8e-14)])
+def test_legendre_nd_horner_against_mpmath(n, bound):
+    for d in (0, 1, 2, 9, 20, 39, 40):
+        ref = _mp_axial_profile(n, d, GRID)
+        got = legendre_nd_eval(n, d, GRID)
+        err = max(abs(float(g - r)) for g, r in zip(got, ref))
+        assert err <= bound, (n, d, err)
 
 
 def test_legendre_harmonic_eval_matches_axial():

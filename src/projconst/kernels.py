@@ -20,11 +20,13 @@ from .result import ComputationResult
 __all__ = ["kernel_axial_sum", "kernel_axial_closed", "kernel_l2_norm"]
 
 # abs_err of kernel_l2_norm, in units of eps times order^2 times the value.
-# The rule's nodes carry rounding, and near +-1, where the kernel's mass sits,
-# a node error moves k by about order^2 times as much relatively. Against
-# sqrt(dim) over the three families, n = 2..11, 20, 50 and d up to 1600, the
-# error reached 12.8 such units, at polyleq n = 3, d = 1600; 32 keeps a margin.
-_L2_ROUNDING = 32.0
+# Against sqrt(dim) over the three families, n = 2..11, 20, 50 and d up to
+# 1600, the error reached 6.75 such units, at polyleq n = 50, d = 0, where the
+# order is 2 and the rounding of axial_constant and the weight's mass (about
+# 27 eps) is all there is. From d = 3 on it stayed below 1.2 units, and at
+# d >= 40 below 0.07 (at most 1.6e-11 relative, at n = 2, d = 1280); 8 keeps
+# a margin at the small orders.
+_L2_ROUNDING = 8.0
 
 
 def kernel_axial_sum(space: SpaceId, t):
@@ -46,21 +48,22 @@ def kernel_axial_sum(space: SpaceId, t):
 
 def _closed_trig(space: SpaceId, arr: np.ndarray) -> np.ndarray:
     """n = 2 closed forms via Chebyshev / Dirichlet kernels."""
-    theta = np.arccos(arr)
     d = space.d
+    if space.family is Family.HOMOGENEOUS:
+        # one-parity cosine sum collapses to sin((d+1)theta)/sin(theta); it has
+        # the parity of d, so take theta = arccos|t|, where sin(theta) = 0 only
+        # at |t| = 1 exactly (arccos(-1) rounds to a float whose sine is not 0)
+        theta = np.arccos(np.abs(arr))
+        den = np.sin(theta)
+        safe = den != 0.0
+        out = np.full_like(arr, d + 1.0)  # theta = 0: limit d+1
+        out[safe] = np.sin((d + 1) * theta[safe]) / den[safe]
+        return np.where(arr < 0, -out, out) if d % 2 else out
+    theta = np.arccos(arr)
     if space.family is Family.HARMONIC:
         if d == 0:
             return np.ones_like(arr)
         return 2.0 * np.cos(d * theta)
-    if space.family is Family.HOMOGENEOUS:
-        # one-parity cosine sum collapses to sin((d+1)theta)/sin(theta)
-        den = np.sin(theta)
-        safe = den != 0.0
-        out = np.empty_like(arr)
-        out[safe] = np.sin((d + 1) * theta[safe]) / den[safe]
-        # theta = 0 or pi: limit (d+1) t^d
-        out[~safe] = (d + 1) * np.sign(arr[~safe]) ** d
-        return out
     den = np.sin(0.5 * theta)
     safe = den != 0.0
     out = np.empty_like(arr)

@@ -4,12 +4,14 @@ The central operation integrates |P(t)| (1-t^2)^gamma for a Jacobi polynomial
 P. The absolute value has kinks exactly at the roots of P, so the interval is
 split there. For the axial kernels of the projection constants every arch has
 a closed antiderivative, and `integrate_abs_kernel` sums its differences at
-the roots exactly. `integrate_abs_jacobi` is the general route for any
-(a, b, gamma): each smooth arch is integrated to spectral accuracy, endpoint
-weight singularities (gamma < 0) stay inside a Gauss-Jacobi rule on the two
-outermost subintervals, and interior subintervals fold the weight into the
-integrand under plain Gauss-Legendre. The Dirichlet-kernel integrals of
-n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
+the roots exactly. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]: their
+nodes come from `jacobi_roots` and their weights are the Christoffel numbers
+of the same recurrence. `integrate_abs_jacobi` is the general route for any
+(a, b, gamma): each smooth arch is integrated to spectral accuracy; the two
+end arches map the rule for (1+t)^gamma, mirrored at +1, so an endpoint
+singularity (gamma < 0) stays inside the rule, and interior arches fold the
+weight into the integrand under Gauss-Legendre. The Dirichlet-kernel
+integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, roots_jacobi
+from scipy.special import betainc
 
 from .errors import DomainError, ToleranceError
 from .gammafn import beta as beta_fn
 from .geometry import axial_constant
-from .orthopoly import JacobiParams, _jacobi_recurrence, jacobi_roots
+from .orthopoly import JacobiParams, _jacobi_recurrence, _recurrence_tridiagonal, jacobi_roots
 from .result import ComputationResult
 
 __all__ = [
@@ -53,19 +55,12 @@ _ARCH_SUM_ROUNDING = 48.0
 _FEJER_ROUNDING = 8.0
 
 
-# bounded, since kernel_l2_norm asks for orders that grow with d; `verify`
-# cycles through six orders, which a smaller cache would evict and rebuild
-@lru_cache(maxsize=32)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights for the weight (1-t)^alpha (1+t)^beta on a subinterval.
+    """Gauss rule on [-1, 1] for the weight (1-t)^alpha (1+t)^beta.
 
-    The weight always refers to the global variable on [-1, 1]; on interior
-    subintervals it is folded into the weights of a Gauss-Legendre rule.
+    The nodes are the roots of P_order^{(alpha, beta)} from `jacobi_roots`;
+    the weights are the Christoffel numbers. Both arrays are read-only.
     """
 
     alpha: float
@@ -73,56 +68,37 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def gauss_jacobi_rule(
-    alpha: float, beta: float, order: int, interval: tuple[float, float] = (-1.0, 1.0)
-) -> QuadratureRule:
-    """Gauss rule for the weight (1-t)^alpha (1+t)^beta restricted to interval."""
+# bounded, since kernel_l2_norm asks for orders that grow with d; a full
+# `verify` run asks for 37 distinct rules, 247 times
+@lru_cache(maxsize=64)
+def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
+    """Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1].
+
+    Golub-Welsch: the weight of node x is the weight's mass divided by
+    sum_{j<order} p_j(x)^2, the p_j orthonormal for the normalized weight and
+    generated by the symmetric recurrence whose matrix gives the nodes.
+    """
     if alpha <= -1 or beta <= -1:
         raise DomainError(f"weight exponents must exceed -1, got ({alpha}, {beta})")
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    lo, hi = interval
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise DomainError(f"invalid subinterval {interval}")
-
-    touches_hi = hi == 1.0 and alpha != 0.0
-    touches_lo = lo == -1.0 and beta != 0.0
-
-    if touches_hi and touches_lo:
-        x, w = roots_jacobi(order, alpha, beta)
-        if (lo, hi) != (-1.0, 1.0):  # pragma: no cover - excluded by touching both ends
-            raise DomainError("a proper subinterval cannot touch both endpoints")
-    elif touches_hi:
-        # substitute so the (1-t)^alpha factor becomes the rule's weight
-        s, ws = roots_jacobi(order, alpha, 0.0)
-        half = 0.5 * (hi - lo)
-        x = lo + half * (s + 1.0)
-        w = ws * half ** (alpha + 1.0) * (1.0 + x) ** beta
-    elif touches_lo:
-        s, ws = roots_jacobi(order, 0.0, beta)
-        half = 0.5 * (hi - lo)
-        x = lo + half * (s + 1.0)
-        w = ws * half ** (beta + 1.0) * (1.0 - x) ** alpha
-    else:
-        s, ws = _leggauss(order)
-        half = 0.5 * (hi - lo)
-        x = lo + half * (s + 1.0)
-        w = ws * half * (1.0 - x) ** alpha * (1.0 + x) ** beta
-
-    return QuadratureRule(
-        alpha=alpha,
-        beta=beta,
-        order=order,
-        nodes=x,
-        weights=w,
-        interval=(lo, hi),
-    )
+    x = np.array(jacobi_roots(JacobiParams(alpha, beta, order)))
+    diag, off = _recurrence_tridiagonal(alpha, beta, order)
+    b = np.concatenate(([0.0], off))
+    # b_{j+1} p_{j+1} = (x - diag_j) p_j - b_j p_{j-1}, from p_0 = 1
+    p_prev, p, total = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    for j in range(order - 1):
+        p, p_prev = ((x - diag[j]) * p - b[j] * p_prev) / b[j + 1], p
+        total += p * p
+    w = weight_mass(alpha, beta) / total
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return QuadratureRule(alpha=alpha, beta=beta, order=order, nodes=x, weights=w)
 
 
 def weight_mass(alpha: float, beta: float) -> float:
@@ -135,40 +111,22 @@ def _abs_jacobi_pass(
 ) -> float:
     """Sum of |signed integral| over each arch, all arches at the given order."""
     alpha, bta, d = params.alpha, params.beta, params.degree
-    lo = breakpoints[:-1]
-    hi = breakpoints[1:]
-    half = 0.5 * (hi - lo)
-
-    contributions = []
+    half = 0.5 * np.diff(breakpoints)
 
     # interior arches: Gauss-Legendre, full weight folded into the integrand
-    s, ws = _leggauss(order)
-    inner_lo, inner_hi = lo[1:-1], hi[1:-1]
-    if inner_lo.size:
-        x = inner_lo[:, None] + (inner_hi - inner_lo)[:, None] * 0.5 * (s[None, :] + 1.0)
-        vals = _jacobi_recurrence(alpha, bta, d, x.ravel()).reshape(x.shape)
-        integrand = vals * (1.0 - x * x) ** gamma
-        signed = (integrand * ws[None, :]).sum(axis=1) * half[1:-1]
-        contributions.extend(np.abs(signed).tolist())
+    inner = gauss_jacobi_rule(0.0, 0.0, order)
+    x = breakpoints[1:-2, None] + half[1:-1, None] * (inner.nodes + 1.0)
+    vals = _jacobi_recurrence(alpha, bta, d, x.ravel()).reshape(x.shape)
+    signed = (vals * (1.0 - x * x) ** gamma) @ inner.weights * half[1:-1]
+    contributions = np.abs(signed).tolist()
 
-    # left arch touching -1: weight (1+t)^gamma inside a Gauss-Jacobi rule
-    if gamma != 0.0:
-        sl, wl = roots_jacobi(order, 0.0, gamma)
-        hl = half[0]
-        xl = lo[0] + hl * (sl + 1.0)
-        vl = _jacobi_recurrence(alpha, bta, d, xl) * (1.0 - xl) ** gamma
-        contributions.append(abs(float(np.dot(wl, vl)) * hl ** (gamma + 1.0)))
-
-        sr, wr = roots_jacobi(order, gamma, 0.0)
-        hr = half[-1]
-        xr = lo[-1] + hr * (sr + 1.0)
-        vr = _jacobi_recurrence(alpha, bta, d, xr) * (1.0 + xr) ** gamma
-        contributions.append(abs(float(np.dot(wr, vr)) * hr ** (gamma + 1.0)))
-    else:
-        for a, b, h in ((lo[0], hi[0], half[0]), (lo[-1], hi[-1], half[-1])):
-            x = a + h * (s + 1.0)
-            v = _jacobi_recurrence(alpha, bta, d, x)
-            contributions.append(abs(float(np.dot(ws, v)) * h))
+    # end arches: the rule (0, gamma) carries (1+t)^gamma on the arch at -1,
+    # and mirrored, t -> -t, carries (1-t)^gamma on the arch at +1
+    end = gauss_jacobi_rule(0.0, gamma, order)
+    for sign, h in ((1.0, half[0]), (-1.0, half[-1])):
+        x = sign * (h * (end.nodes + 1.0) - 1.0)
+        v = _jacobi_recurrence(alpha, bta, d, x) * (1.0 - sign * x) ** gamma
+        contributions.append(abs(float(np.dot(end.weights, v))) * h ** (gamma + 1.0))
 
     return math.fsum(contributions)
 
@@ -180,7 +138,8 @@ def integrate_abs_jacobi(
 
     Splits at the roots of P (where |P| has kinks), integrates the signed
     polynomial on each arch, and sums absolute arch integrals with compensated
-    summation. The error estimate comes from doubling the arch rule order.
+    summation. The error estimate comes from doubling the arch rule order,
+    floored at 1e-15 times the value; ToleranceError if it exceeds tol.
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -189,40 +148,32 @@ def integrate_abs_jacobi(
 
     d = params.degree
     if d == 0:
-        value = weight_mass(weight_exponent, weight_exponent)
-        return ComputationResult(
+        value, err = weight_mass(weight_exponent, weight_exponent), 0.0
+    else:
+        roots = jacobi_roots(params)
+        breakpoints = np.concatenate(([-1.0], roots, [1.0]))
+        order = 24
+        value = _abs_jacobi_pass(params, weight_exponent, breakpoints, order)
+        for _ in range(4):
+            refined = _abs_jacobi_pass(params, weight_exponent, breakpoints, 2 * order)
+            err = abs(refined - value)
+            value = refined
+            order *= 2
+            if err <= tol:
+                break
+    abs_err = max(err, abs(value) * 1e-15)
+    if abs_err > tol:
+        raise ToleranceError(
+            f"abs-Jacobi integral reached {abs_err:.3e}, requested {tol:.3e}",
             value=value,
-            abs_err=abs(value) * 1e-15,
-            method="JacobiQuadrature",
-            inputs={"params": params, "gamma": weight_exponent, "tol": tol},
+            achieved=abs_err,
         )
-
-    roots = jacobi_roots(params)
-    breakpoints = np.concatenate(([-1.0], roots, [1.0]))
-
-    order = 24
-    value = _abs_jacobi_pass(params, weight_exponent, breakpoints, order)
-    err = math.inf
-    for _ in range(4):
-        refined = _abs_jacobi_pass(params, weight_exponent, breakpoints, 2 * order)
-        err = abs(refined - value)
-        value = refined
-        order *= 2
-        if err <= tol:
-            break
-    result = ComputationResult(
+    return ComputationResult(
         value=value,
-        abs_err=max(err, abs(value) * 1e-15),
+        abs_err=abs_err,
         method="JacobiQuadrature",
         inputs={"params": params, "gamma": weight_exponent, "tol": tol},
     )
-    if err > tol:
-        raise ToleranceError(
-            f"abs-Jacobi integral reached {err:.3e}, requested {tol:.3e}",
-            value=value,
-            achieved=err,
-        )
-    return result
 
 
 def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> ComputationResult:

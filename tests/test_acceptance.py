@@ -4,12 +4,15 @@ Every tolerance here is pinned; loosening one is a behavior change, not a fix.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import projconst
 from projconst.constants import (
     lambda_complex_homogeneous,
     lambda_harmonic,
@@ -184,7 +187,12 @@ def test_criterion_14_dimension_identities():
 def test_criterion_15_verify_determinism():
     # two full verification runs with the same seed are byte-identical
     cmd = [sys.executable, "-m", "projconst", "verify", "--seed", "42"]
-    runs = [subprocess.run(cmd, capture_output=True, timeout=300) for _ in range(2)]
+    # the child imports the projconst this process imported, also when only
+    # pytest's pythonpath setting, which the child does not inherit, found it
+    src = str(Path(projconst.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [subprocess.run(cmd, capture_output=True, timeout=300, env=env) for _ in range(2)]
     for run in runs:
         assert run.returncode == 0, run.stdout.decode() + run.stderr.decode()
     assert runs[0].stdout == runs[1].stdout

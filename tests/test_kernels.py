@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from projconst.geometry import Family, SpaceId, dim_space
 from projconst.kernels import kernel_axial_closed, kernel_axial_sum
@@ -67,12 +68,12 @@ def test_kernel_n2_trig_forms():
 
 
 def test_kernel_endpoint_minus_one_homogeneous():
-    # t = -1 limit of sin((d+1)theta)/sin(theta) is (d+1)(-1)^d
-    for d in (1, 2, 3, 4):
+    # t = -1 limit of sin((d+1)theta)/sin(theta) is (d+1)(-1)^d; from d = 18 on,
+    # theta = arccos(-1) rounds to a float whose sine (1.2e-16) is not 0
+    for d in (1, 2, 3, 4, 18, 40, 101):
         space = SpaceId(Family.HOMOGENEOUS, 2, d)
-        assert kernel_axial_closed(space, -1.0) == pytest.approx(
-            (d + 1) * (-1.0) ** d, rel=1e-12
-        )
+        for fn in (kernel_axial_sum, kernel_axial_closed):
+            assert fn(space, -1.0) == pytest.approx((d + 1) * (-1.0) ** d, rel=1e-12), (d, fn)
 
 
 def test_kernel_sum_closed_agreement():
@@ -103,6 +104,19 @@ def test_kernel_l2_norm_is_sqrt_dim():
     for space in _spaces(range(2, 6), (0, 1, 3, 7, 12)):
         res = kernel_l2_norm(space)
         assert res.value == pytest.approx(math.sqrt(dim_space(space)), rel=1e-9), space
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_kernel_l2_norm_large_degree_against_exact_dim(family, n):
+    from projconst.kernels import kernel_l2_norm
+
+    space = SpaceId(family, n, 1600)
+    res = kernel_l2_norm(space)
+    exact = mp.sqrt(dim_space(space))
+    err = abs(mp.mpf(res.value) - exact)
+    assert err <= 1e-10 * exact, space
+    assert err <= res.abs_err, space
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import projection_constant
-from .errors import UnsupportedCombinationError
+from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .gammafn import log_gamma
 from .geometry import Family, SpaceId
 from .quadrature import DEFAULT_TOL
@@ -85,11 +85,23 @@ class ConvergenceRow:
 
 
 def _normalizer(normalization: str, space: SpaceId) -> float:
-    if normalization == "dim_sqrt":
-        return math.sqrt(space.dim)
-    if normalization == "d_power":
-        return space.d ** ((space.n - 2) / 2.0)
-    return math.log(space.d)
+    """dim^(1/2), d^((n-2)/2) or log d: DomainError where it is 0 or undefined,
+    ToleranceError where it overflows double precision."""
+    n, d = space.n, space.d
+    least_d = {"d_power": 1, "log_d": 2}.get(normalization, 0)
+    if d < least_d:
+        raise DomainError(f"normalization {normalization} needs d >= {least_d}, got {d}")
+    try:
+        if normalization == "dim_sqrt":
+            return math.sqrt(space.dim)
+        if normalization == "d_power":
+            return d ** ((n - 2) / 2.0)
+        return math.log(d)
+    except OverflowError:
+        raise ToleranceError(
+            f"normalization {normalization} overflows double precision at n={n}, d={d}",
+            value=math.inf, achieved=math.inf,
+        ) from None
 
 
 def convergence_report(
@@ -98,10 +110,12 @@ def convergence_report(
     """Per-d ratio lambda/normalization against the limit constant.
 
     Returns the table and a flag that is True when |deviation| fails to
-    decrease monotonically along d_values.
+    decrease monotonically along d_values. Raises DomainError when d_values
+    do not increase strictly or a normalization is 0 or undefined, and
+    ToleranceError when lambda or a normalization overflows or misses tol.
     """
     if any(b <= a for a, b in zip(d_values, d_values[1:])):
-        raise ValueError("d_values must be strictly increasing")
+        raise DomainError("d_values must be strictly increasing")
     limit = limit_constant(spec)
     rows = []
     for d in d_values:

@@ -1,8 +1,9 @@
 """Command-line surface: compute | table | limits | converge | verify | kernel.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 tolerance failure.
-The default absolute tolerance comes from the PROJCONST_TOL environment
-variable (1e-10 when unset); per-command --tol overrides it.
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 tolerance failure;
+`main` alone maps errors to them. The default absolute tolerance comes from the
+PROJCONST_TOL environment variable (quadrature.DEFAULT_TOL when unset);
+per-command --tol overrides it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .constants import lambda_complex_homogeneous, lambda_hilbert, projection_co
 from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .geometry import Family, SpaceId, dim_space
 from .kernels import kernel_axial_closed, kernel_axial_sum
+from .quadrature import DEFAULT_TOL
 from .result import ComputationResult
 from .verify import run_checks
 
@@ -44,16 +46,25 @@ COMPUTE = {
     "hilbert-complex": (lambda n, d, tol: lambda_hilbert(n, "complex"), lambda n, d: n),
 }
 FAMILIES = list(COMPUTE)
+SPHERE_FAMILIES = [family.value for family in Family]
 
 
-def _default_tol() -> float:
+def _tol(args) -> float:
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get("PROJCONST_TOL")
     if raw is None:
-        return 1e-10
+        return DEFAULT_TOL
     try:
         return float(raw)
     except ValueError:
-        raise DomainError(f"PROJCONST_TOL is not a float: {raw!r}")
+        raise DomainError(f"PROJCONST_TOL is not a float: {raw!r}") from None
+
+
+def _normalization(args) -> str:
+    if args.normalization is not None:
+        return args.normalization
+    return "log_d" if args.n == 2 else "d_power"
 
 
 def _emit(family: str, n: int, d: int, dim: int, res: ComputationResult, fmt: str) -> None:
@@ -73,26 +84,17 @@ def _emit(family: str, n: int, d: int, dim: int, res: ComputationResult, fmt: st
 
 
 def cmd_compute(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     compute, dim = COMPUTE[args.family]
-    try:
-        res = compute(args.n, args.d, tol)
-    except (DomainError, UnsupportedCombinationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ToleranceError as exc:
-        print(f"tolerance not met: {exc}", file=sys.stderr)
-        return 3
+    res = compute(args.n, args.d, _tol(args))
     _emit(args.family, args.n, args.d, dim(args.n, args.d), res, args.format)
     return 0
 
 
 def cmd_table(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args)
     d_min = args.d_min if args.d_min is not None else (1 if args.family != "polyleq" else 0)
     if d_min > args.d_max:
-        print("error: d-min exceeds d-max", file=sys.stderr)
-        return 2
+        raise DomainError("d-min exceeds d-max")
     if args.format == "csv":
         print(CSV_HEADER)
     compute, dim = COMPUTE[args.family]
@@ -100,9 +102,6 @@ def cmd_table(args) -> int:
     for d in range(d_min, args.d_max + 1):
         try:
             res = compute(args.n, d, tol)
-        except (DomainError, UnsupportedCombinationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except ToleranceError as exc:
             res = ComputationResult(float("nan"), exc.achieved, "ToleranceFailure")
             status = 3
@@ -111,33 +110,20 @@ def cmd_table(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    family = Family(args.family)
-    normalization = args.normalization
-    if normalization is None:
-        normalization = "log_d" if args.n == 2 else "d_power"
-    try:
-        spec = LimitSpec(family, args.n, normalization)
-    except UnsupportedCombinationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    value = limit_constant(spec)
+    normalization = _normalization(args)
+    value = limit_constant(LimitSpec(Family(args.family), args.n, normalization))
     print(f"{args.family} n={args.n} normalization={normalization}: {value:.15g}")
     return 0
 
 
 def cmd_converge(args) -> int:
-    family = Family(args.family)
-    d_values = [int(v) for v in args.d_values.split(",")]
-    normalization = args.normalization
-    if normalization is None:
-        normalization = "log_d" if args.n == 2 else "d_power"
-    tol = args.tol if args.tol is not None else _default_tol()
     try:
-        spec = LimitSpec(family, args.n, normalization)
-        rows, non_monotone = convergence_report(spec, d_values, tol)
-    except (UnsupportedCombinationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        d_values = [int(v) for v in args.d_values.split(",")]
+    except ValueError:
+        raise DomainError(f"--d-values must be comma-separated integers, got {args.d_values!r}") from None
+    tol = _tol(args)
+    spec = LimitSpec(Family(args.family), args.n, _normalization(args))
+    rows, non_monotone = convergence_report(spec, d_values, tol)
     print("d,finite_ratio,limit,deviation")
     for row in rows:
         print(f"{row.d},{row.finite_ratio!r},{row.limit!r},{row.deviation!r}")
@@ -164,24 +150,19 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel(args) -> int:
     if args.samples < 2:
-        print("error: need at least 2 samples", file=sys.stderr)
-        return 2
-    try:
-        space = SpaceId(Family(args.family), args.n, args.d)
-    except (DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise DomainError("need at least 2 samples")
+    space = SpaceId(Family(args.family), args.n, args.d)
     ts = np.linspace(-1.0, 1.0, args.samples)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             k_sum = kernel_axial_sum(space, ts)
             k_closed = kernel_axial_closed(space, ts)
+        finite = np.isfinite([k_sum, k_closed]).all()
     except OverflowError:  # a harmonic dimension beyond the float range
-        k_sum = k_closed = np.full_like(ts, np.inf)
-    if not np.isfinite([k_sum, k_closed]).all():
-        print(f"tolerance not met: kernel overflows double precision at n={args.n}, d={args.d}",
-              file=sys.stderr)
-        return 3
+        finite = False
+    if not finite:
+        raise ToleranceError(f"kernel overflows double precision at n={args.n}, d={args.d}",
+                             value=math.inf, achieved=math.inf)
     if args.format == "csv":
         print("t,k_sum,k_closed")
     for t, a, b in zip(ts, k_sum, k_closed):
@@ -212,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("table", help="a column of constants over a degree range")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", required=True, type=int)
+    add_common(p, with_d=False)
     p.add_argument("--d-max", required=True, type=int)
     p.add_argument("--d-min", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
@@ -221,14 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("limits", help="closed-form limit constant")
-    p.add_argument("--family", required=True, choices=["harmonic", "homogeneous", "polyleq"])
-    p.add_argument("--n", required=True, type=int)
+    add_common(p, SPHERE_FAMILIES, with_d=False)
     p.add_argument("--normalization", choices=["dim_sqrt", "d_power", "log_d"], default=None)
     p.set_defaults(fn=cmd_limits)
 
     p = sub.add_parser("converge", help="finite-degree convergence diagnostics")
-    p.add_argument("--family", required=True, choices=["harmonic", "homogeneous", "polyleq"])
-    p.add_argument("--n", required=True, type=int)
+    add_common(p, SPHERE_FAMILIES, with_d=False)
     p.add_argument("--d-values", required=True, help="comma-separated increasing degrees")
     p.add_argument("--normalization", choices=["dim_sqrt", "d_power", "log_d"], default=None)
     p.add_argument("--tol", type=float, default=None)
@@ -243,9 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("kernel", help="sample both kernel representations on a grid")
-    p.add_argument("--family", required=True, choices=["harmonic", "homogeneous", "polyleq"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
+    add_common(p, SPHERE_FAMILIES)
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(fn=cmd_kernel)
@@ -254,9 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (DomainError, UnsupportedCombinationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ToleranceError as exc:
+        print(f"tolerance not met: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

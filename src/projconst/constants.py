@@ -42,17 +42,15 @@ def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> Computation
     n, d = space.n, space.d
     if d < spec.min_d:
         raise DomainError(f"need d >= {spec.min_d}, got {d}")
-    inputs = {"family": space.family.value, "n": n, "d": d}
     if d == 0:
         # constants: kernel identically 1
-        return ComputationResult(1.0, 0.0, "ClosedForm", inputs)
-    if tol <= 0:
+        return ComputationResult(1.0, 0.0, "ClosedForm")
+    if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
     if n == 2:
         if spec.dirichlet_kind is None:
-            return ComputationResult(4.0 / math.pi, 0.0, "ClosedForm", inputs)
-        res = dirichlet_lebesgue(d, spec.dirichlet_kind, tol)
-        return ComputationResult(res.value, res.abs_err, res.method, {**inputs, "tol": tol})
+            return ComputationResult(4.0 / math.pi, 0.0, "ClosedForm")
+        return dirichlet_lebesgue(d, spec.dirichlet_kind, tol)
     try:
         res = integrate_abs_kernel(n, spec.degrees(d), JacobiParams(*spec.jacobi(n), d))
     except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
@@ -65,11 +63,11 @@ def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> Computation
     achieved = res.abs_err / prefactor
     if not achieved <= tol:
         raise ToleranceError(
-            f"abs-Jacobi integral reached {achieved:.3e}, requested {tol:.3e}",
+            f"Jacobi-normalized arch sum reached {achieved:.3e}, requested {tol:.3e}",
             value=res.value / prefactor,
             achieved=achieved,
         )
-    return ComputationResult(res.value, res.abs_err, res.method, {**inputs, "tol": tol})
+    return res
 
 
 def lambda_harmonic(n: int, d: int, tol: float = DEFAULT_TOL) -> ComputationResult:
@@ -110,7 +108,6 @@ def lambda_complex_homogeneous(n: int, d: int) -> ComputationResult:
         value=value,
         abs_err=value * 1e-13,
         method="ClosedForm",
-        inputs={"family": "complex-homogeneous", "n": n, "d": d},
     )
 
 
@@ -132,5 +129,4 @@ def lambda_hilbert(n: int, field: str = "real") -> ComputationResult:
         value=value,
         abs_err=value * 1e-15,
         method="ClosedForm",
-        inputs={"family": f"hilbert-{field}", "n": n},
     )

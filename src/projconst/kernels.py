@@ -96,5 +96,4 @@ def kernel_l2_norm(space: SpaceId) -> ComputationResult:
         value=value,
         abs_err=_L2_ROUNDING * math.ulp(1.0) * order**2 * value,
         method="JacobiQuadrature",
-        inputs={"space": space},
     )

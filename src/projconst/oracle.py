@@ -21,6 +21,8 @@ __all__ = ["GramBasis", "gram_basis", "kernel_bruteforce", "montecarlo_sphere"]
 
 ORACLE_MAX_N = 4
 ORACLE_MAX_D = 6
+# points per Monte Carlo draw; fixed, so a seed gives the same stream and sums
+_MC_CHUNK = 200_000
 
 MonomialKey = tuple[int, ...]
 
@@ -168,7 +170,7 @@ def kernel_bruteforce(space: SpaceId, t, basis: GramBasis | None = None):
 
 
 def montecarlo_sphere(
-    n: int, f, samples: int, seed: int = 20240, chunk: int = 200_000
+    n: int, f, samples: int, seed: int = 20240
 ) -> tuple[float, float]:
     """Monte Carlo estimate of Int f dsigma_n with its standard error.
 
@@ -183,7 +185,7 @@ def montecarlo_sphere(
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_MC_CHUNK, samples - done)
         g = rng.standard_normal((m, n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         vals = np.asarray(f(g), dtype=float)

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 __all__ = ["ComputationResult"]
 
 
 @dataclass(frozen=True)
 class ComputationResult:
-    """Value plus an absolute-error estimate, a method tag and the input echo."""
+    """Value plus an absolute-error estimate and a method tag."""
 
     value: float
     abs_err: float
     method: str  # ClosedForm | ExactArchSum | JacobiQuadrature | FejerSum
-    inputs: dict[str, Any] = field(default_factory=dict)

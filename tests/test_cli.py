@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projconst import verify
-from projconst.cli import CSV_HEADER, FAMILIES, main
+from projconst.cli import CSV_HEADER, FAMILIES, SPHERE_FAMILIES, main
 from projconst.constants import (
     lambda_complex_homogeneous,
     lambda_harmonic,
@@ -135,13 +139,14 @@ def test_polyleq_jacobi_overflow_exit_3(capsys):
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 @pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
-def test_symmetric_jacobi_overflow_one_stderr_line(capsys, family):
+@pytest.mark.parametrize("n,d", [(1500, 1000), (939, 1139)])  # at (939, 1139) only the arch sum overflows
+def test_symmetric_jacobi_overflow_one_stderr_line(capsys, family, n, d):
     code, out, err = run_cli(
-        capsys, "compute", "--family", family, "--n", "1500", "--d", "1000", "--tol", "1e300"
+        capsys, "compute", "--family", family, "--n", str(n), "--d", str(d), "--tol", "1e300"
     )
     assert code == 3
     assert out == ""
-    assert err == "tolerance not met: lambda overflows double precision at n=1500, d=1000\n"
+    assert err == f"tolerance not met: lambda overflows double precision at n={n}, d={d}\n"
 
 
 def test_kernel_overflow_exit_3(capsys):
@@ -155,7 +160,7 @@ def test_kernel_overflow_exit_3(capsys):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("tol", ["0", "-1"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
 def test_compute_nonpositive_tol_exit_2(capsys, n, tol):
     code, out, err = run_cli(
         capsys, "compute", "--family", "polyleq", "--n", str(n), "--d", "5", "--tol", tol
@@ -200,6 +205,17 @@ def test_env_tolerance_override(capsys, monkeypatch):
         "compute", "--family", "harmonic", "--n", "3", "--d", "40", "--tol", "1e-9",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ("compute", "--family", "harmonic", "--n", "3", "--d", "4"),
+    ("table", "--family", "harmonic", "--n", "3", "--d-max", "4"),
+    ("converge", "--family", "harmonic", "--n", "3", "--d-values", "8,16"),
+], ids=lambda argv: argv[0])
+def test_env_tolerance_not_a_float_exit_2(capsys, monkeypatch, command):
+    monkeypatch.setenv("PROJCONST_TOL", "abc")
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out, err) == (2, "", "error: PROJCONST_TOL is not a float: 'abc'\n")
 
 
 def test_table_csv(capsys):
@@ -275,12 +291,35 @@ def test_converge(capsys):
     assert len(lines) == 3
 
 
-def test_converge_bad_d_values_exit_2(capsys):
-    code, _, err = run_cli(
+@pytest.mark.parametrize("n,d_values", [
+    (3, "20,20"),
+    (3, "8,abc"),
+    (3, "0,4"),  # d^((n-2)/2) is 0 at d = 0
+    (2, "0,4"),  # log d is undefined at d = 0 and 0 at d = 1
+    (2, "1,4"),
+])
+def test_converge_bad_d_values_exit_2(capsys, n, d_values):
+    family = "polyleq" if n == 2 else "harmonic"
+    code, out, err = run_cli(
         capsys,
-        "converge", "--family", "harmonic", "--n", "3", "--d-values", "20,20",
+        "converge", "--family", family, "--n", str(n), "--d-values", d_values,
     )
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra,reason", [
+    (("--n", "50", "--d-values", "100,200"), "Jacobi-normalized arch sum reached"),
+    (("--n", "1039", "--d-values", "19,26", "--tol", "inf"), "normalization d_power overflows"),
+    (("--n", "2170", "--d-values", "270,273", "--tol", "inf", "--normalization", "dim_sqrt"),
+     "normalization dim_sqrt overflows"),
+], ids=["lambda", "d_power", "dim_sqrt"])
+def test_converge_tolerance_exit_3(capsys, extra, reason):
+    code, out, err = run_cli(capsys, "converge", "--family", "harmonic", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"tolerance not met: {reason}") and err.count("\n") == 1
 
 
 def test_verify_quick(capsys):
@@ -357,3 +396,37 @@ def test_no_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["compute", "table", "converge", "kernel", "limits"]))
+    families = FAMILIES if command in ("compute", "table") else SPHERE_FAMILIES
+    argv = [command, "--family", draw(st.sampled_from(families)), "--n", str(draw(st.integers(-1, 3000)))]
+    degree = st.integers(-1, 400)
+    if command in ("compute", "kernel"):
+        argv += ["--d", str(draw(degree))]
+    if command == "kernel":
+        argv += ["--samples", str(draw(st.integers(0, 5)))]
+    if command == "table":
+        d_min = draw(degree)
+        argv += ["--d-min", str(d_min), "--d-max", str(d_min + draw(st.integers(-1, 2)))]
+    if command == "converge":
+        d_values = draw(st.lists(degree, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            d_values = sorted(set(d_values))
+        argv.append("--d-values=" + ",".join(map(str, d_values)))  # "=": argparse takes "-1,4" for a flag
+    if command in ("converge", "limits") and draw(st.booleans()):
+        argv += ["--normalization", draw(st.sampled_from(["dim_sqrt", "d_power", "log_d"]))]
+    if command in ("compute", "table", "converge") and draw(st.booleans()):
+        argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-18", "1e300", "0", "nan", "inf"]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_cli_exit_code_is_0_2_or_3(argv):
+    """Every failure maps to a documented exit code; none escapes as a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .constants import projection_constant
 from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .gammafn import log_gamma
-from .geometry import Family, SpaceId
+from .geometry import FAMILY_TABLE, Family, SpaceId
 from .quadrature import DEFAULT_TOL
 
 __all__ = ["LimitSpec", "ConvergenceRow", "limit_constant", "convergence_report"]
@@ -19,7 +19,8 @@ class LimitSpec:
     """A (family, n, normalization) triple naming one of the limit theorems.
 
     Valid combinations: any family with "d_power" (n >= 3), harmonic with
-    "dim_sqrt" (n >= 3), homogeneous/polyleq with "log_d" (n = 2).
+    "dim_sqrt" (n >= 3), and "log_d" (n = 2) for the families whose n = 2
+    lambda is a Dirichlet integral (homogeneous, polyleq).
     """
 
     family: Family
@@ -37,7 +38,7 @@ class LimitSpec:
             or (
                 self.normalization == "log_d"
                 and self.n == 2
-                and self.family in (Family.HOMOGENEOUS, Family.POLY_LEQ)
+                and FAMILY_TABLE[self.family].dirichlet_kind is not None
             )
         )
         if not ok:

@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 tolerance failure;
 `main` alone maps errors to them. The default absolute tolerance comes from the
 PROJCONST_TOL environment variable (quadrature.DEFAULT_TOL when unset);
-per-command --tol overrides it.
+per-command --tol overrides it. `_tol` validates it for every family before
+anything is printed.
 """
 
 from __future__ import annotations
@@ -50,15 +51,16 @@ SPHERE_FAMILIES = [family.value for family in Family]
 
 
 def _tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    raw = os.environ.get("PROJCONST_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise DomainError(f"PROJCONST_TOL is not a float: {raw!r}") from None
+    tol = args.tol
+    if tol is None:
+        raw = os.environ.get("PROJCONST_TOL")
+        try:
+            tol = DEFAULT_TOL if raw is None else float(raw)
+        except ValueError:
+            raise DomainError(f"PROJCONST_TOL is not a float: {raw!r}") from None
+    if not tol > 0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
+    return tol
 
 
 def _normalization(args) -> str:
@@ -84,8 +86,11 @@ def _emit(family: str, n: int, d: int, dim: int, res: ComputationResult, fmt: st
 
 
 def cmd_compute(args) -> int:
+    tol = _tol(args)
+    if args.d < 0:  # hilbert-* ignore d; the other families reject it too
+        raise DomainError(f"need d >= 0, got {args.d}")
     compute, dim = COMPUTE[args.family]
-    res = compute(args.n, args.d, _tol(args))
+    res = compute(args.n, args.d, tol)
     _emit(args.family, args.n, args.d, dim(args.n, args.d), res, args.format)
     return 0
 
@@ -93,6 +98,8 @@ def cmd_compute(args) -> int:
 def cmd_table(args) -> int:
     tol = _tol(args)
     d_min = args.d_min if args.d_min is not None else (1 if args.family != "polyleq" else 0)
+    if d_min < 0:
+        raise DomainError(f"need d >= 0, got {d_min}")
     if d_min > args.d_max:
         raise DomainError("d-min exceeds d-max")
     if args.format == "csv":

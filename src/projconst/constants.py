@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, ToleranceError
+from .errors import DomainError, ToleranceError
 from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
 from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, kernel_scale
-from .orthopoly import JacobiParams
 from .quadrature import DEFAULT_TOL, dirichlet_lebesgue, integrate_abs_kernel
 from .result import ComputationResult
 
@@ -32,12 +31,16 @@ __all__ = [
 def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> ComputationResult:
     """Projection constant of a harmonic or polynomial space on S^{n-1}.
 
-    For n >= 3, lambda is the exact arch sum over the kernel's roots. tol
-    bounds the error of the Jacobi-normalized integral
-    Int |P_d^{(a,b)}(t)| (1-t^2)^((n-3)/2) dt; it equals lambda / prefactor,
-    with prefactor = c_n kernel_scale(space), since the kernel is
-    kernel_scale(space) P.
+    The one place where a lambda meets tol; tol is validated first, for every
+    route. lambda = prefactor * I, and tol bounds the error of I: for n >= 3,
+    I = Int |P_d^{(a,b)}(t)| (1-t^2)^((n-3)/2) dt, the Jacobi-normalized
+    integral, with prefactor = c_n kernel_scale(space), since the kernel is
+    kernel_scale(space) P; for n = 2, I is the Dirichlet integral and the
+    prefactor is 1. Closed forms are exact. ToleranceError, whose value is
+    lambda, when lambda overflows double precision or misses tol.
     """
+    if not tol > 0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
     spec = FAMILY_TABLE[space.family]
     n, d = space.n, space.d
     if d < spec.min_d:
@@ -45,27 +48,21 @@ def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> Computation
     if d == 0:
         # constants: kernel identically 1
         return ComputationResult(1.0, 0.0, "ClosedForm")
-    if not tol > 0:  # also rejects NaN
-        raise DomainError(f"tol must be positive, got {tol}")
     if n == 2:
         if spec.dirichlet_kind is None:
             return ComputationResult(4.0 / math.pi, 0.0, "ClosedForm")
-        return dirichlet_lebesgue(d, spec.dirichlet_kind, tol)
-    try:
-        res = integrate_abs_kernel(n, spec.degrees(d), JacobiParams(*spec.jacobi(n), d))
-    except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
-        res = ComputationResult(math.nan, math.inf, "ExactArchSum")
+        res, integral = dirichlet_lebesgue(d, spec.dirichlet_kind), "Dirichlet integral"
+    else:
+        res, integral = integrate_abs_kernel(space), "Jacobi-normalized arch sum"
     if not math.isfinite(res.value):
         raise ToleranceError(
             f"lambda overflows double precision at n={n}, d={d}", value=res.value, achieved=math.inf
         )
-    prefactor = axial_constant(n) * kernel_scale(space)
+    prefactor = 1.0 if n == 2 else axial_constant(n) * kernel_scale(space)
     achieved = res.abs_err / prefactor
     if not achieved <= tol:
         raise ToleranceError(
-            f"Jacobi-normalized arch sum reached {achieved:.3e}, requested {tol:.3e}",
-            value=res.value / prefactor,
-            achieved=achieved,
+            f"{integral} reached {achieved:.3e}, requested {tol:.3e}", value=res.value, achieved=achieved
         )
     return res
 

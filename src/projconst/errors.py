@@ -10,9 +10,10 @@ class DomainError(ProjconstError, ValueError):
 
 
 class ToleranceError(ProjconstError):
-    """A quadrature failed to meet the requested tolerance.
+    """A computed value overflows double precision or misses the requested tolerance.
 
-    Carries the best value and the achieved error estimate so callers can
+    Carries the value (lambda itself, for a projection constant) and the
+    achieved error estimate, in the units that tol bounds, so callers can
     decide whether the result is still usable.
     """
 

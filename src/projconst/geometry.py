@@ -175,18 +175,5 @@ def monomial_moment_exact(n: int, multi_index: tuple[int, ...]) -> Fraction:
 
 
 def monomial_moment(n: int, multi_index: tuple[int, ...]) -> float:
-    """Float moment via a log-space gamma product (stable for large degrees)."""
-    if len(multi_index) != n:
-        raise DomainError(f"multi-index length {len(multi_index)} != n = {n}")
-    if any(a < 0 for a in multi_index):
-        raise DomainError("multi-index entries must be nonnegative")
-    if any(a % 2 for a in multi_index):
-        return 0.0
-    total = sum(multi_index)
-    if total <= 12:
-        return float(monomial_moment_exact(n, multi_index))
-    log_val = log_gamma(n / 2.0) - log_gamma((total + n) / 2.0)
-    half_log_pi = 0.5 * math.log(math.pi)
-    for a in multi_index:
-        log_val += log_gamma((a + 1) / 2.0) - half_log_pi
-    return math.exp(log_val)
+    """Float moment: the exact rational, correctly rounded by int/int division."""
+    return float(monomial_moment_exact(n, multi_index))

@@ -12,6 +12,8 @@ end arches map the rule for (1+t)^gamma, mirrored at +1, so an endpoint
 singularity (gamma < 0) stays inside the rule, and interior arches fold the
 weight into the integrand under Gauss-Legendre. The Dirichlet-kernel
 integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
+`integrate_abs_kernel` and `dirichlet_lebesgue` only compute value +- abs_err;
+constants.projection_constant decides whether a lambda meets tol.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .errors import DomainError, ToleranceError
+from .errors import ConvergenceError, DomainError, ToleranceError
 from .gammafn import beta as beta_fn
-from .geometry import axial_constant
+from .geometry import FAMILY_TABLE, SpaceId, axial_constant
 from .orthopoly import JacobiParams, _jacobi_recurrence, _recurrence_tridiagonal, jacobi_roots
 from .result import ComputationResult
 
@@ -175,13 +177,14 @@ def integrate_abs_jacobi(
     )
 
 
-def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> ComputationResult:
+def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     """c_n Int_{-1}^1 |K(t)| (1-t^2)^gamma dt, exactly up to rounding.
 
     K = sum_{k in degrees} ((k+lam)/lam) C_k^{(lam)}(t) is the axial kernel of
-    the zonal space spanned by the harmonics of those degrees, lam = (n-2)/2,
-    gamma = (n-3)/2 and c_n = axial_constant(n), so the result is the space's
-    projection constant. `roots_of` is a Jacobi polynomial with the roots of K.
+    the space (n >= 3, d >= 1), whose degree set and Jacobi parameters come
+    from FAMILY_TABLE, lam = (n-2)/2, gamma = (n-3)/2 and c_n =
+    axial_constant(n), so the result is the space's projection constant; the
+    roots of K are those of P_d^{(a,b)}.
 
     By DLMF 18.9.20 the integrand has the antiderivative
     F(t) = [0 in degrees] I(t)
@@ -192,17 +195,20 @@ def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> Comp
     the integral is the sum of |F(x_{j+1}) - F(x_j)|; the series is summed by
     one Clenshaw pass over all roots, O(d^2) in all. abs_err estimates the
     rounding of F at the roots: a fixed multiple of eps times the summed
-    sizes of both parts there.
+    sizes of both parts there. Where P or the sums overflow, the value is
+    not finite.
     """
-    d = max(degrees, default=0)
-    if n < 3 or d < 1 or min(degrees) < 0 or roots_of.degree != d:
-        raise DomainError(
-            f"need n >= 3 and degrees in 0..d, d >= 1, with roots_of of degree d; "
-            f"got n={n}, degrees={degrees}, roots_of={roots_of}"
-        )
+    n, d = space.n, space.d
+    if n < 3 or d < 1:
+        raise DomainError(f"need n >= 3 and d >= 1, got n={n}, d={d}")
+    spec = FAMILY_TABLE[space.family]
+    degrees = spec.degrees(d)
+    try:
+        x = np.asarray(jacobi_roots(JacobiParams(*spec.jacobi(n), d)))
+    except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
+        return ComputationResult(math.nan, math.inf, "ExactArchSum")
     lam = (n - 2) / 2.0
     mu = lam + 1.0
-    x = np.asarray(jacobi_roots(roots_of))
 
     coef = np.zeros(d)
     ks = np.array([k for k in degrees if k], dtype=float)
@@ -239,7 +245,7 @@ def integrate_abs_kernel(n: int, degrees: range, roots_of: JacobiParams) -> Comp
     )
 
 
-def dirichlet_lebesgue(d: int, kind: str, tol: float = DEFAULT_TOL) -> ComputationResult:
+def dirichlet_lebesgue(d: int, kind: str) -> ComputationResult:
     """Lebesgue-type integral of the Dirichlet kernel over a full period.
 
     kind="full": (1/2pi) Int_0^{2pi} |sin((d+1/2)t)/sin(t/2)| dt
@@ -249,14 +255,13 @@ def dirichlet_lebesgue(d: int, kind: str, tol: float = DEFAULT_TOL) -> Computati
     gives both as [N odd]/N + (4/pi) sum tan(p pi/(2N))/p over 0 < p < N with
     N-p odd. A tangent beyond pi/4 is taken as 1/tan((N-p) pi/(2N)): N-p is an
     exact integer, so the small argument keeps full relative accuracy. abs_err
-    is a rounding estimate, a fixed multiple of eps times the summed terms.
+    is a rounding estimate, a fixed multiple of eps times the summed terms;
+    projection_constant compares it with the requested tolerance.
     """
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
     if kind not in ("full", "half"):
         raise DomainError(f"kind must be 'full' or 'half', got {kind!r}")
-    if not tol > 0:  # also rejects NaN
-        raise DomainError(f"tol must be positive, got {tol}")
 
     n_arches = 2 * d + 1 if kind == "full" else d + 1
     p = np.arange(n_arches - 1, 0, -2, dtype=float)
@@ -264,7 +269,4 @@ def dirichlet_lebesgue(d: int, kind: str, tol: float = DEFAULT_TOL) -> Computati
     terms = (4.0 / math.pi) * np.where(2 * p <= n_arches, small, 1.0 / small) / p
     value = math.fsum([1.0 / n_arches if n_arches % 2 else 0.0, *terms.tolist()])
     # every term is positive, so the summed sizes are the value itself
-    err = _FEJER_ROUNDING * math.ulp(1.0) * value
-    if err > tol:
-        raise ToleranceError(f"Dirichlet integral reached {err:.3e}, requested {tol:.3e}", value, err)
-    return ComputationResult(value, err, "FejerSum")
+    return ComputationResult(value, _FEJER_ROUNDING * math.ulp(1.0) * value, "FejerSum")

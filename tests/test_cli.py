@@ -159,23 +159,40 @@ def test_kernel_overflow_exit_3(capsys):
     assert err == "tolerance not met: kernel overflows double precision at n=520, d=560\n"
 
 
-@pytest.mark.parametrize("n", [2, 3])
+# tol is validated before anything is printed, for every family and d, and
+# also where no route compares an error with it
+@pytest.mark.parametrize("argv", [
+    ("compute", "--family", "polyleq", "--n", "2", "--d", "5"),
+    ("compute", "--family", "polyleq", "--n", "3", "--d", "5"),
+    ("compute", "--family", "harmonic", "--n", "3", "--d", "0"),
+    ("compute", "--family", "complex-homogeneous", "--n", "3", "--d", "5"),
+    ("compute", "--family", "hilbert-real", "--n", "3", "--d", "5"),
+    ("compute", "--family", "hilbert-complex", "--n", "3", "--d", "5"),
+    ("table", "--family", "harmonic", "--n", "3", "--d-max", "4"),
+    ("converge", "--family", "harmonic", "--n", "3", "--d-values", "8,16"),
+], ids=["2", "3", "harmonic-d0", "complex-homogeneous", "hilbert-real", "hilbert-complex",
+        "table", "converge"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_compute_nonpositive_tol_exit_2(capsys, n, tol):
-    code, out, err = run_cli(
-        capsys, "compute", "--family", "polyleq", "--n", str(n), "--d", "5", "--tol", tol
-    )
+def test_compute_nonpositive_tol_exit_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: tol must be positive")
+    assert err.startswith("error: tol must be positive") and err.count("\n") == 1
 
 
-def test_compute_usage_error_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "compute", "--family", "harmonic", "--n", "1", "--d", "2"
-    )
-    assert code == 2
-    assert "error" in err
+@pytest.mark.parametrize("argv,message", [
+    (("compute", "--family", "harmonic", "--n", "1", "--d", "2"), "need n >= 2, got 1"),
+    (("compute", "--family", "hilbert-real", "--n", "3", "--d", "-5"), "need d >= 0, got -5"),
+    (("compute", "--family", "hilbert-complex", "--n", "3", "--d", "-5"), "need d >= 0, got -5"),
+    (("table", "--family", "hilbert-real", "--n", "3", "--d-min", "-5", "--d-max", "2"),
+     "need d >= 0, got -5"),
+    (("table", "--family", "hilbert-complex", "--n", "3", "--d-min", "-5", "--d-max", "2"),
+     "need d >= 0, got -5"),
+], ids=["harmonic-n1", "hilbert-real", "hilbert-complex", "table-hilbert-real",
+        "table-hilbert-complex"])
+def test_compute_usage_error_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_compute_unknown_family_exit_2(capsys):

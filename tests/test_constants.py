@@ -250,6 +250,12 @@ def test_default_tol_met_at_n50():
     for fn in LAMBDA.values():
         for d in range(47, 55):
             assert fn(50, d).method == "ExactArchSum"
+    # past them it is missed, and the error carries lambda itself, as at n = 2
+    for fn, n, d, tol in [*((fn, 50, 100, 1e-10) for fn in LAMBDA.values()),
+                          (lambda_poly_leq, 2, 1000, 1e-17)]:
+        with pytest.raises(ToleranceError) as exc:
+            fn(n, d, tol)
+        assert exc.value.value == fn(n, d, 1.0).value
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from projconst.constants import lambda_homogeneous, lambda_poly_leq
 from projconst.errors import DomainError
 from projconst.orthopoly import JacobiParams
 from projconst.quadrature import (
@@ -180,20 +181,24 @@ def test_invalid_inputs():
         dirichlet_lebesgue(-1, "full")
     with pytest.raises(DomainError):
         dirichlet_lebesgue(3, "other")
+    # tol is checked where lambda meets it, also on the n = 2 Dirichlet route
     for tol in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            dirichlet_lebesgue(3, "full", tol)
+        for lam in (lambda_homogeneous, lambda_poly_leq):
+            with pytest.raises(DomainError):
+                lam(2, 3, tol=tol)
 
 
 def test_dirichlet_lebesgue_degree_zero():
     for kind in ("full", "half"):
-        res = dirichlet_lebesgue(0, kind, 1e-12)
+        res = dirichlet_lebesgue(0, kind)
         assert res.value == pytest.approx(1.0, rel=1e-12), kind
+        assert res.abs_err <= 1e-12, kind
 
 
 def test_dirichlet_full_closed_value_d1():
     # (1/2pi) int_0^{2pi} |sin(3x/2)/sin(x/2)| dx = 1/3 + 2 sqrt(3)/pi
-    res = dirichlet_lebesgue(1, "full", 1e-12)
+    res = dirichlet_lebesgue(1, "full")
+    assert res.abs_err <= 1e-12
     assert res.value == pytest.approx(
         1.0 / 3.0 + 2.0 * math.sqrt(3.0) / math.pi, rel=1e-11
     )
@@ -203,7 +208,8 @@ def test_dirichlet_monotone_and_log_growth():
     prev = 0.0
     vals = {}
     for d in (1, 2, 4, 8, 16, 32, 64):
-        res = dirichlet_lebesgue(d, "full", 1e-11)
+        res = dirichlet_lebesgue(d, "full")
+        assert res.abs_err <= 1e-11
         assert res.value > prev
         prev = res.value
         vals[d] = res.value
@@ -214,7 +220,8 @@ def test_dirichlet_monotone_and_log_growth():
 
 def test_dirichlet_half_matches_dense_reference():
     for d in (1, 2, 3, 6):
-        res = dirichlet_lebesgue(d, "half", 1e-11)
+        res = dirichlet_lebesgue(d, "half")
+        assert res.abs_err <= 1e-11, d
         x = np.linspace(1e-9, 2 * math.pi - 1e-9, 2_000_001)
         dense = np.trapezoid(np.abs(np.sin((d + 1) * x / 2.0) / np.sin(x / 2.0)), x)
         assert res.value == pytest.approx(dense / (2 * math.pi), rel=1e-6), d

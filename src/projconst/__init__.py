@@ -32,14 +32,10 @@ from .geometry import (
 from .kernels import kernel_axial_closed, kernel_axial_sum, kernel_l2_norm
 from .oracle import GramBasis, gram_basis, kernel_bruteforce, montecarlo_sphere
 from .orthopoly import (
-    CoeffList,
     JacobiParams,
-    gegenbauer_eval,
-    gegenbauer_norm_sq,
     jacobi_eval,
     jacobi_roots,
     jacobi_symmetry_check,
-    legendre_harmonic_eval,
     legendre_nd_coeffs,
     legendre_nd_eval,
 )

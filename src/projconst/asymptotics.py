@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import projection_constant
@@ -49,7 +50,11 @@ class LimitSpec:
 
 
 def limit_constant(spec: LimitSpec) -> float:
-    """The closed-form value of the corresponding limit."""
+    """The closed-form value of the corresponding limit.
+
+    ToleranceError where it underflows double precision, that is, falls below
+    the smallest normal float (every d_power limit does from n = 302 on).
+    """
     n = spec.n
     if spec.normalization == "log_d":
         return 4.0 / math.pi**2
@@ -57,24 +62,32 @@ def limit_constant(spec: LimitSpec) -> float:
     log_quarter_sq = 2.0 * log_gamma(n / 4.0)
     if spec.family is Family.HARMONIC:
         if spec.normalization == "dim_sqrt":
-            return math.exp(
+            value = math.exp(
                 (n - 0.5) * math.log(2.0) - 0.5 * log_gamma(n - 1.0) + log_quarter_sq
             ) / math.pi**2
-        return math.exp(
-            n * math.log(2.0) - log_gamma(n - 1.0) + log_quarter_sq
-        ) / math.pi**2
-    if spec.family is Family.HOMOGENEOUS:
-        return math.exp(
+        else:
+            value = math.exp(
+                n * math.log(2.0) - log_gamma(n - 1.0) + log_quarter_sq
+            ) / math.pi**2
+    elif spec.family is Family.HOMOGENEOUS:
+        value = math.exp(
             (n + 1) * math.log(2.0)
             + 2.0 * log_gamma(n / 4.0 + 0.5)
             - log_gamma(n - 1.0)
         ) / (math.pi**2 * (n - 2))
-    # polyleq
-    return math.exp(
-        log_gamma(n / 2.0 - 1.0)
-        - (n / 2.0 - 3.0) * math.log(2.0)
-        - 2.0 * log_gamma(n / 2.0 - 0.5)
-    ) / math.pi
+    else:  # polyleq
+        value = math.exp(
+            log_gamma(n / 2.0 - 1.0)
+            - (n / 2.0 - 3.0) * math.log(2.0)
+            - 2.0 * log_gamma(n / 2.0 - 0.5)
+        ) / math.pi
+    if value < sys.float_info.min:
+        raise ToleranceError(
+            f"{spec.family.value} limit constant underflows double precision at n={n}, "
+            f"normalization={spec.normalization}",
+            value=value, achieved=math.inf,
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,16 +126,17 @@ def convergence_report(
     Returns the table and a flag that is True when |deviation| fails to
     decrease monotonically along d_values. Raises DomainError when d_values
     do not increase strictly or a normalization is 0 or undefined, and
-    ToleranceError when lambda or a normalization overflows or misses tol.
+    ToleranceError when lambda or a normalization overflows or misses tol,
+    or, failing those, when the limit underflows.
     """
     if any(b <= a for a, b in zip(d_values, d_values[1:])):
         raise DomainError("d_values must be strictly increasing")
-    limit = limit_constant(spec)
-    rows = []
+    ratios = []
     for d in d_values:
         space = SpaceId(spec.family, spec.n, d)
-        ratio = projection_constant(space, tol).value / _normalizer(spec.normalization, space)
-        rows.append(ConvergenceRow(d=d, finite_ratio=ratio, limit=limit, deviation=ratio - limit))
+        ratios.append(projection_constant(space, tol).value / _normalizer(spec.normalization, space))
+    limit = limit_constant(spec)
+    rows = [ConvergenceRow(d, ratio, limit, ratio - limit) for d, ratio in zip(d_values, ratios)]
     devs = [abs(r.deviation) for r in rows]
     non_monotone = any(b >= a for a, b in zip(devs, devs[1:]))
     return rows, non_monotone

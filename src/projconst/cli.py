@@ -102,8 +102,6 @@ def cmd_table(args) -> int:
         raise DomainError(f"need d >= 0, got {d_min}")
     if d_min > args.d_max:
         raise DomainError("d-min exceeds d-max")
-    if args.format == "csv":
-        print(CSV_HEADER)
     compute, dim = COMPUTE[args.family]
     status = 0
     for d in range(d_min, args.d_max + 1):
@@ -112,6 +110,9 @@ def cmd_table(args) -> int:
         except ToleranceError as exc:
             res = ComputationResult(float("nan"), exc.achieved, "ToleranceFailure")
             status = 3
+        # after the first row's computation, so a usage error leaves stdout empty
+        if d == d_min and args.format == "csv":
+            print(CSV_HEADER)
         _emit(args.family, args.n, d, dim(args.n, d), res, args.format)
     return status
 

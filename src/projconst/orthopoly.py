@@ -1,4 +1,4 @@
-"""Jacobi, Gegenbauer and sphere-adapted Legendre polynomials.
+"""Jacobi polynomials, the axial harmonic profile on spheres, and their roots.
 
 Jacobi polynomials are evaluated by the three-term recurrence in the degree
 (stable, O(d) per point) with the normalization P_d^{(a,b)}(1) = binom(d+a, d).
@@ -16,26 +16,20 @@ eigenproblem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
-from .gammafn import log_gamma
 
 __all__ = [
     "JacobiParams",
-    "CoeffList",
     "jacobi_eval",
-    "jacobi_deriv",
     "jacobi_symmetry_check",
-    "gegenbauer_eval",
-    "gegenbauer_norm_sq",
     "legendre_nd_coeffs",
     "legendre_nd_eval",
-    "legendre_harmonic_eval",
     "jacobi_roots",
 ]
 
@@ -111,16 +105,6 @@ def jacobi_eval(params: JacobiParams, t):
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def jacobi_deriv(params: JacobiParams, t):
-    """d/dt P_d^{(a,b)}(t) = ((d+a+b+1)/2) P_{d-1}^{(a+1,b+1)}(t)."""
-    if params.degree == 0:
-        return 0.0 if np.ndim(t) == 0 else np.zeros_like(np.asarray(t, dtype=float))
-    shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0, params.degree - 1)
-    factor = 0.5 * (params.degree + params.alpha + params.beta + 1.0)
-    out = jacobi_eval(shifted, t)
-    return factor * out
-
-
 def jacobi_symmetry_check(params: JacobiParams, t: float) -> float:
     """Residual of the reflection identity P_d^{(a,b)}(t) = (-1)^d P_d^{(b,a)}(-t)."""
     mirrored = JacobiParams(params.beta, params.alpha, params.degree)
@@ -128,52 +112,13 @@ def jacobi_symmetry_check(params: JacobiParams, t: float) -> float:
     return jacobi_eval(params, t) - sign * jacobi_eval(mirrored, -t)
 
 
-def gegenbauer_eval(lam: float, d: int, t):
-    """Gegenbauer polynomial C_d^{(lam)}(t), lam > -1/2 and lam != 0."""
-    if lam <= -0.5 or lam == 0.0:
-        raise DomainError(f"gegenbauer_eval requires lam > -1/2 and lam != 0, got {lam}")
-    if d < 0:
-        raise DomainError(f"degree must be >= 0, got {d}")
-    scale = math.exp(
-        log_gamma(2.0 * lam + d)
-        + log_gamma(lam + 0.5)
-        - log_gamma(2.0 * lam)
-        - log_gamma(lam + 0.5 + d)
-    )
-    return scale * jacobi_eval(JacobiParams(lam - 0.5, lam - 0.5, d), t)
-
-
-def gegenbauer_norm_sq(lam: float, d: int) -> float:
-    """L2 norm-square of C_d^{(lam)} against the weight (1-t^2)^(lam-1/2)."""
-    if lam <= -0.5 or lam == 0.0:
-        raise DomainError(f"gegenbauer_norm_sq requires lam > -1/2 and lam != 0, got {lam}")
-    log_val = (
-        math.log(math.pi)
-        + (1.0 - 2.0 * lam) * math.log(2.0)
-        + log_gamma(d + 2.0 * lam)
-        - log_gamma(d + 1.0)
-        - math.log(d + lam)
-        - 2.0 * log_gamma(lam)
-    )
-    return math.exp(log_val)
-
-
-@dataclass(frozen=True)
-class CoeffList:
+@lru_cache(maxsize=4096)
+def legendre_nd_coeffs(n: int, d: int) -> tuple[float, ...]:
     """Coefficients b_0..b_{floor(d/2)} of the degree-d axial harmonic in R^n.
 
-    b_0 = 1 and consecutive coefficients obey
-    b_j = -((d-2j+2)(d-2j+1)) / (2j (2j+n-3)) * b_{j-1}.
+    The profile is sum_j b_j t^(d-2j) (1-t^2)^j; b_0 = 1 and consecutive
+    coefficients obey b_j = -((d-2j+2)(d-2j+1)) / (2j (2j+n-3)) * b_{j-1}.
     """
-
-    n: int
-    d: int
-    coeffs: tuple[float, ...] = field(default=())
-
-
-@lru_cache(maxsize=4096)
-def legendre_nd_coeffs(n: int, d: int) -> CoeffList:
-    """Generate the coefficient list by the ratio recurrence from b_0 = 1."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if d < 0:
@@ -182,7 +127,7 @@ def legendre_nd_coeffs(n: int, d: int) -> CoeffList:
     for j in range(1, d // 2 + 1):
         ratio = -((d - 2 * j + 2) * (d - 2 * j + 1)) / (2.0 * j * (2 * j + n - 3))
         coeffs.append(ratio * coeffs[-1])
-    return CoeffList(n=n, d=d, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def legendre_nd_eval(n: int, d: int, t):
@@ -201,7 +146,7 @@ def _axial_profile(
     Homogeneous Horner in (t^2, 1-t^2): acc <- acc t^2 + b_j (1-t^2)^j with a
     running power of 1-t^2, then one factor t when d is odd.
     """
-    coeffs = legendre_nd_coeffs(n, d).coeffs
+    coeffs = legendre_nd_coeffs(n, d)
     acc = np.full_like(t, coeffs[0])
     power = np.ones_like(t)
     for b in coeffs[1:]:
@@ -209,18 +154,6 @@ def _axial_profile(
         acc *= t_sq
         acc += b * power
     return acc * t if d % 2 else acc
-
-
-def legendre_harmonic_eval(n: int, d: int, x) -> float:
-    """The degree-d axially invariant harmonic polynomial on R^n at x."""
-    vec = np.asarray(x, dtype=float)
-    if vec.shape != (n,):
-        raise DomainError(f"expected a point in R^{n}, got shape {vec.shape}")
-    coeffs = legendre_nd_coeffs(n, d).coeffs
-    tail_sq = float(np.dot(vec[1:], vec[1:]))
-    return math.fsum(
-        b * vec[0] ** (d - 2 * j) * tail_sq**j for j, b in enumerate(coeffs)
-    )
 
 
 def _recurrence_tridiagonal(alpha: float, beta: float, degree: int):
@@ -264,8 +197,8 @@ def _eigen_newton(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, n
     return nodes, step
 
 
-def jacobi_roots(params: JacobiParams) -> list[float]:
-    """All roots of P_d^{(a,b)}, strictly increasing, in (-1, 1).
+def jacobi_roots(params: JacobiParams) -> np.ndarray:
+    """All roots of P_d^{(a,b)}, strictly increasing, in (-1, 1), as a float64 array.
 
     Eigenvalues of the symmetric tridiagonal recurrence matrix followed by one
     Newton step per root, with P' from the same recurrence pass as P. For
@@ -288,4 +221,4 @@ def jacobi_roots(params: JacobiParams) -> list[float]:
     else:
         nodes, step = _eigen_newton(a, b, d)
         roots = np.clip(nodes - step, -1.0, 1.0)
-    return roots.tolist()
+    return roots

@@ -71,9 +71,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 # bounded, since kernel_l2_norm asks for orders that grow with d; a full
 # `verify` run asks for 37 distinct rules, 247 times
@@ -89,7 +86,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
         raise DomainError(f"weight exponents must exceed -1, got ({alpha}, {beta})")
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    x = np.array(jacobi_roots(JacobiParams(alpha, beta, order)))
+    x = jacobi_roots(JacobiParams(alpha, beta, order))
     diag, off = _recurrence_tridiagonal(alpha, beta, order)
     b = np.concatenate(([0.0], off))
     # b_{j+1} p_{j+1} = (x - diag_j) p_j - b_j p_{j-1}, from p_0 = 1
@@ -204,7 +201,7 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
     try:
-        x = np.asarray(jacobi_roots(JacobiParams(*spec.jacobi(n), d)))
+        x = jacobi_roots(JacobiParams(*spec.jacobi(n), d))
     except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
         return ComputationResult(math.nan, math.inf, "ExactArchSum")
     lam = (n - 2) / 2.0

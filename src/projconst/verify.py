@@ -46,10 +46,6 @@ class CheckResult:
     failures: list[dict] = field(default_factory=list)
     wall_s: float | None = None  # measured only when run_checks is asked to time
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _fail(check: str, expected, got, tol) -> dict:
     return {"check": check, "expected": expected, "got": got, "tolerance": tol}
@@ -100,7 +96,7 @@ def _check_orthopoly(seed: int, quick: bool) -> list[dict]:
     # harmonicity of the coefficient list
     for n in (2, 3, 5):
         for d in (4, 9):
-            c = legendre_nd_coeffs(n, d).coeffs
+            c = legendre_nd_coeffs(n, d)
             for j in range(len(c) - 1):
                 res = (d - 2 * j) * (d - 2 * j - 1) * c[j] + (2 * n - 2 + 4 * j) * (j + 1) * c[j + 1]
                 rel = abs(res) / max(abs(c[j]), abs(c[j + 1]))
@@ -115,7 +111,7 @@ def _check_orthopoly(seed: int, quick: bool) -> list[dict]:
                 failures.append(_fail(f"orthopoly.interlacing[{d}]", "interlace", (hi[i], lo[i], hi[i + 1]), 0.0))
     # symmetric roots come from a half-size problem; the full eigensolve agrees
     for d in (7, 8):
-        got = np.array(jacobi_roots(JacobiParams(0.5, 0.5, d)))
+        got = jacobi_roots(JacobiParams(0.5, 0.5, d))
         full = eigvalsh_tridiagonal(*_recurrence_tridiagonal(0.5, 0.5, d))
         err = float(np.max(np.abs(got - full)))
         if err > 1e-13:

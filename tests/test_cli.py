@@ -188,8 +188,14 @@ def test_compute_nonpositive_tol_exit_2(capsys, argv, tol):
      "need d >= 0, got -5"),
     (("table", "--family", "hilbert-complex", "--n", "3", "--d-min", "-5", "--d-max", "2"),
      "need d >= 0, got -5"),
+    # n is checked by the first row's computation, before the CSV header is printed
+    (("table", "--family", "harmonic", "--n", "1", "--d-max", "3"), "need n >= 2, got 1"),
+    (("table", "--family", "complex-homogeneous", "--n", "0", "--d-max", "3"),
+     "need n >= 1, got 0"),
+    (("table", "--family", "hilbert-real", "--n", "0", "--d-max", "3"), "need n >= 1, got 0"),
 ], ids=["harmonic-n1", "hilbert-real", "hilbert-complex", "table-hilbert-real",
-        "table-hilbert-complex"])
+        "table-hilbert-complex", "table-harmonic-n1", "table-complex-homogeneous-n0",
+        "table-hilbert-real-n0"])
 def test_compute_usage_error_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -287,6 +293,15 @@ def test_limits_defaults(capsys):
     assert code == 0
     assert "log_d" in out
 
+    # the last normal d_power limit still prints; from n = 302 on they are subnormal
+    code, out, _ = run_cli(capsys, "limits", "--family", "harmonic", "--n", "301")
+    assert (code, out) == (0, "harmonic n=301 normalization=d_power: 3.82465069268396e-307\n")
+    for family, n in (("harmonic", "302"), ("polyleq", "1500")):
+        code, out, err = run_cli(capsys, "limits", "--family", family, "--n", n)
+        assert (code, out) == (3, "")
+        assert err == (f"tolerance not met: {family} limit constant underflows double "
+                       f"precision at n={n}, normalization=d_power\n")
+
 
 def test_limits_invalid_combination_exit_2(capsys):
     code, _, err = run_cli(
@@ -331,7 +346,8 @@ def test_converge_bad_d_values_exit_2(capsys, n, d_values):
     (("--n", "1039", "--d-values", "19,26", "--tol", "inf"), "normalization d_power overflows"),
     (("--n", "2170", "--d-values", "270,273", "--tol", "inf", "--normalization", "dim_sqrt"),
      "normalization dim_sqrt overflows"),
-], ids=["lambda", "d_power", "dim_sqrt"])
+    (("--n", "302", "--d-values", "1,2"), "harmonic limit constant underflows"),
+], ids=["lambda", "d_power", "dim_sqrt", "limit"])
 def test_converge_tolerance_exit_3(capsys, extra, reason):
     code, out, err = run_cli(capsys, "converge", "--family", "harmonic", *extra)
     assert code == 3

@@ -3,11 +3,15 @@
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -42,3 +46,27 @@ def test_verify_check_groups_are_wrappable():
     from projconst.verify import CHECKS
 
     assert CHECKS and all(isinstance(group, str) and callable(fn) for group, fn in CHECKS)
+
+
+# what a traced benchmark process does: import the CLI, install, then call.
+# `install` reads each TARGETS module from sys.modules, so `import projconst.cli`
+# alone must load all of them and projconst.verify.
+_TRACED_PROCESS = f"""
+import importlib.util, sys
+import projconst.cli
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS_PATH)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+sys.modules["projconst.constants"].lambda_harmonic(3, 8)
+assert tracer.counts["constants.calls"] == 1, dict(tracer.counts)
+"""
+
+
+def test_install_after_a_fresh_cli_import():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_PROCESS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

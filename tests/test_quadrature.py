@@ -28,12 +28,12 @@ def test_rule_exactness_plain():
     rule = gauss_jacobi_rule(0.0, 0.0, 6)
     for k in range(0, 12):
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert rule.integrate(lambda t, k=k: t**k) == pytest.approx(exact, abs=1e-13)
+        assert np.dot(rule.weights, rule.nodes**k) == pytest.approx(exact, abs=1e-13)
 
 
 def test_rule_semicircle_mass():
     rule = gauss_jacobi_rule(0.5, 0.5, 8)
-    assert rule.integrate(lambda t: np.ones_like(t)) == pytest.approx(
+    assert np.dot(rule.weights, np.ones_like(rule.nodes)) == pytest.approx(
         math.pi / 2, rel=1e-12
     )
 

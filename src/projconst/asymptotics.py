@@ -6,11 +6,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .constants import projection_constant
+from .constants import DEFAULT_TOL, projection_constant
 from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .gammafn import log_gamma
-from .geometry import FAMILY_TABLE, Family, SpaceId
-from .quadrature import DEFAULT_TOL
+from .geometry import FAMILY_TABLE, Family, SpaceId, _require_float_range
 
 __all__ = ["LimitSpec", "ConvergenceRow", "limit_constant", "convergence_report"]
 
@@ -29,6 +28,7 @@ class LimitSpec:
     normalization: str  # dim_sqrt | d_power | log_d
 
     def __post_init__(self):
+        _require_float_range("n", self.n)
         ok = (
             (self.normalization == "d_power" and self.n >= 3)
             or (

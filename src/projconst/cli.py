@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 tolerance failure;
 `main` alone maps errors to them. The default absolute tolerance comes from the
-PROJCONST_TOL environment variable (quadrature.DEFAULT_TOL when unset);
+PROJCONST_TOL environment variable (constants.DEFAULT_TOL when unset);
 per-command --tol overrides it. `_tol` validates it for every family before
 anything is printed.
 """
@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from .asymptotics import LimitSpec, convergence_report, limit_constant
-from .constants import lambda_complex_homogeneous, lambda_hilbert, projection_constant
+from .constants import DEFAULT_TOL, lambda_complex_homogeneous, lambda_hilbert, projection_constant
 from .errors import DomainError, ToleranceError, UnsupportedCombinationError
 from .geometry import Family, SpaceId, dim_space
 from .kernels import kernel_axial_closed, kernel_axial_sum
-from .quadrature import DEFAULT_TOL
 from .result import ComputationResult
 from .verify import run_checks
 
@@ -141,9 +140,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(
-        seed=args.seed, quick=args.quick, inject_fault=args.inject_fault, timed=args.explain
-    )
+    results = run_checks(seed=args.seed, quick=args.quick, timed=args.explain)
     n_failures = 0
     for result in results:
         for failure in result.failures:
@@ -223,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--explain", action="store_true",
                    help="write each check group's failure count and wall time to stderr as JSON")
     p.set_defaults(fn=cmd_verify)

@@ -14,11 +14,12 @@ import math
 
 from .errors import DomainError, ToleranceError
 from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
-from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, kernel_scale
-from .quadrature import DEFAULT_TOL, dirichlet_lebesgue, integrate_abs_kernel
+from .geometry import FAMILY_TABLE, Family, SpaceId, _require_float_range, axial_constant, kernel_scale
+from .quadrature import dirichlet_lebesgue, integrate_abs_kernel
 from .result import ComputationResult
 
 __all__ = [
+    "DEFAULT_TOL",
     "projection_constant",
     "lambda_harmonic",
     "lambda_homogeneous",
@@ -26,6 +27,8 @@ __all__ = [
     "lambda_complex_homogeneous",
     "lambda_hilbert",
 ]
+
+DEFAULT_TOL = 1e-10
 
 
 def projection_constant(space: SpaceId, tol: float = DEFAULT_TOL) -> ComputationResult:
@@ -86,6 +89,7 @@ def lambda_complex_homogeneous(n: int, d: int) -> ComputationResult:
     """Ryll-Wojtaszczyk constant for d-homogeneous polynomials on complex l2^n."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    _require_float_range("n", n)
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
     try:
@@ -112,6 +116,7 @@ def lambda_hilbert(n: int, field: str = "real") -> ComputationResult:
     """Rutovitz constant for l2^n, real or complex scalars."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
+    _require_float_range("n", n)
     if field == "real":
         value = 2.0 / math.sqrt(math.pi) * math.exp(
             log_gamma((n + 2) / 2.0) - log_gamma((n + 1) / 2.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,6 +26,8 @@ __all__ = [
     "monomial_moment_exact",
 ]
 
+_FLOAT_MAX = sys.float_info.max
+
 
 class Family(str, enum.Enum):
     HARMONIC = "harmonic"
@@ -37,7 +40,7 @@ class FamilySpec:
     """What distinguishes one sphere family from another.
 
     lambda is defined for d >= min_d. The space of degree d spans the
-    harmonics of the degrees in degrees(d); for n >= 3 its axial kernel is a
+    harmonics of the degrees in degrees(d); its axial kernel is a
     multiple of the Jacobi polynomial P_d^{(a,b)} with (a, b) = jacobi(n).
     For n = 2, lambda is the Dirichlet integral
     dirichlet_lebesgue(d, dirichlet_kind), one of Fejer's finite sums of
@@ -76,10 +79,19 @@ class SpaceId:
             raise DomainError(f"need n >= 2, got {self.n}")
         if self.d < 0:
             raise DomainError(f"need d >= 0, got {self.d}")
+        _require_float_range("n", self.n)
+        _require_float_range("d", self.d)
 
     @property
     def dim(self) -> int:
         return dim_space(self)
+
+
+def _require_float_range(name: str, value: int) -> None:
+    """DomainError where an integer argument exceeds the largest float: every
+    route turns n and d into floats, which would overflow."""
+    if value > _FLOAT_MAX:
+        raise DomainError(f"need {name} <= {_FLOAT_MAX:.4g}, the largest float")
 
 
 def surface_area(n: int) -> float:
@@ -124,7 +136,7 @@ def axial_constant(n: int) -> float:
 
 
 def kernel_scale(space: SpaceId) -> float:
-    """dim / P(1): the axial kernel is kernel_scale * P for n >= 3.
+    """dim / P(1): the axial kernel is kernel_scale * P for n >= 2.
 
     P = P_d^{(a,b)} with (a, b) from the family table, and P(1) = binom(d+a, d).
     Where the exact integer dim or P(1) exceeds the float range, the ratio

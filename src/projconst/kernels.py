@@ -2,8 +2,9 @@
 
 Each kernel is available in two forms: the defining sum over axial harmonic
 profiles (ground truth at small degree) and a collapsed single-Jacobi closed
-form (O(d) per point, stable at large degree). For n = 2 the closed form is
-trigonometric; the Jacobi collapse assumes n > 2.
+form (O(d) per point, stable at large degree). The collapse holds at every
+n >= 2: at n = 2 the family table's parameters a, b = +-1/2 make the Jacobi
+polynomial a multiple of the Chebyshev or Dirichlet kernel.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 
-from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, harmonic_dim, kernel_scale
-from .orthopoly import JacobiParams, _axial_profile, _clamp, jacobi_eval
+from .geometry import FAMILY_TABLE, SpaceId, axial_constant, harmonic_dim, kernel_scale
+from .orthopoly import _axial_profile, _clamp, _jacobi_recurrence
 from .quadrature import gauss_jacobi_rule
 from .result import ComputationResult
 
@@ -46,41 +47,16 @@ def kernel_axial_sum(space: SpaceId, t):
     return float(total) if np.ndim(t) == 0 else total
 
 
-def _closed_trig(space: SpaceId, arr: np.ndarray) -> np.ndarray:
-    """n = 2 closed forms via Chebyshev / Dirichlet kernels."""
-    d = space.d
-    if space.family is Family.HOMOGENEOUS:
-        # one-parity cosine sum collapses to sin((d+1)theta)/sin(theta); it has
-        # the parity of d, so take theta = arccos|t|, where sin(theta) = 0 only
-        # at |t| = 1 exactly (arccos(-1) rounds to a float whose sine is not 0)
-        theta = np.arccos(np.abs(arr))
-        den = np.sin(theta)
-        safe = den != 0.0
-        out = np.full_like(arr, d + 1.0)  # theta = 0: limit d+1
-        out[safe] = np.sin((d + 1) * theta[safe]) / den[safe]
-        return np.where(arr < 0, -out, out) if d % 2 else out
-    theta = np.arccos(arr)
-    if space.family is Family.HARMONIC:
-        if d == 0:
-            return np.ones_like(arr)
-        return 2.0 * np.cos(d * theta)
-    den = np.sin(0.5 * theta)
-    safe = den != 0.0
-    out = np.empty_like(arr)
-    out[safe] = np.sin((d + 0.5) * theta[safe]) / den[safe]
-    out[~safe] = 2 * d + 1  # theta = 0
-    return out
-
-
 def kernel_axial_closed(space: SpaceId, t):
-    """Collapsed kernel form: one Jacobi polynomial, kernel_scale(space) P_d^{(a,b)}."""
-    arr = _clamp(t)
-    n, d = space.n, space.d
-    if n == 2:
-        out = _closed_trig(space, arr)
-    else:
-        params = JacobiParams(*FAMILY_TABLE[space.family].jacobi(n), d)
-        out = kernel_scale(space) * jacobi_eval(params, arr)
+    """Collapsed kernel form: one Jacobi polynomial, kernel_scale(space) P_d^{(a,b)}.
+
+    (a, b) comes from the family table at every n >= 2. At n = 2 it is
+    (+-1/2, +-1/2), and with t = cos(theta) the kernel is 2 cos(d theta)
+    (1 at d = 0), sin((d+1) theta)/sin(theta) or the Dirichlet kernel
+    sin((d+1/2) theta)/sin(theta/2).
+    """
+    a, b = FAMILY_TABLE[space.family].jacobi(space.n)
+    out = kernel_scale(space) * _jacobi_recurrence(a, b, space.d, _clamp(t))
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -208,30 +208,22 @@ def _check_kernels(seed: int, quick: bool) -> list[dict]:
     return failures
 
 
-def _check_constants(seed: int, quick: bool, inject_fault: bool = False) -> list[dict]:
+def _check_constants(seed: int, quick: bool) -> list[dict]:
     failures = []
-    # an injected fault scales every lambda of the n >= 3 route, proving
-    # that these checks catch a wrong constant
-    scale = 1.01 if inject_fault else 1.0
-
-    def lam(fn, n: int, d: int) -> float:
-        res = fn(n, d)
-        return scale * res.value if res.method == "ExactArchSum" else res.value
-
     got = lambda_harmonic(2, 7).value
     if abs(got - 4.0 / math.pi) > 1e-12:
         failures.append(_fail("constants.harmonic_circle", 4.0 / math.pi, got, 1e-12))
     for n in range(2, 6 if quick else 11):
         ruto = lambda_hilbert(n, "real").value
-        for got in (lam(lambda_harmonic, n, 1), lam(lambda_homogeneous, n, 1)):
+        for got in (lambda_harmonic(n, 1).value, lambda_homogeneous(n, 1).value):
             if abs(got - ruto) > 1e-10 * ruto:
                 failures.append(_fail(f"constants.rutovitz[{n}]", ruto, got, 1e-10))
-    got = lam(lambda_harmonic, 3, 2)
+    got = lambda_harmonic(3, 2).value
     expected = 10.0 * math.sqrt(3.0) / 9.0
     if abs(got - expected) > 1e-10 * expected:
         failures.append(_fail("constants.harmonic_3_2", expected, got, 1e-10))
     for d in range(0, 8 if quick else 41):
-        general = lam(lambda_poly_leq, 3, d)
+        general = lambda_poly_leq(3, d).value
         gronwall = (d + 1) / 2.0 * integrate_abs_jacobi(JacobiParams(1.0, 0.0, max(d, 1)), 0.0).value if d >= 1 else 1.0
         if abs(general - gronwall) > 1e-10 * gronwall:
             failures.append(_fail(f"constants.gronwall[{d}]", gronwall, general, 1e-10))
@@ -296,17 +288,15 @@ CHECKS: list[tuple[str, Callable[[int, bool], list[dict]]]] = [
 ]
 
 
-def run_checks(
-    seed: int = 42, quick: bool = False, inject_fault: bool = False, timed: bool = False
-) -> list[CheckResult]:
-    """Run every check group; inject_fault makes the constants group see wrong values.
+def run_checks(seed: int = 42, quick: bool = False, timed: bool = False) -> list[CheckResult]:
+    """Run every check group in CHECKS order with the same seed and quick flag.
 
     timed records each group's wall time in CheckResult.wall_s.
     """
     results = []
     for check_id, fn in CHECKS:
         start = perf_counter() if timed else None
-        failures = fn(seed, quick, inject_fault) if check_id == "constants" else fn(seed, quick)
+        failures = fn(seed, quick)
         wall_s = perf_counter() - start if timed else None
         results.append(CheckResult(check_id=check_id, failures=failures, wall_s=wall_s))
     return results

@@ -1,21 +1,27 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projconst import verify
-from projconst.cli import CSV_HEADER, FAMILIES, SPHERE_FAMILIES, main
+from projconst.cli import CSV_HEADER, FAMILIES, SPHERE_FAMILIES, build_parser, main
 from projconst.constants import (
+    DEFAULT_TOL,
     lambda_complex_homogeneous,
     lambda_harmonic,
     lambda_hilbert,
     lambda_homogeneous,
     lambda_poly_leq,
 )
+
+
+HUGE = str(10**400)
 
 
 def run_cli(capsys, *argv):
@@ -193,9 +199,23 @@ def test_compute_nonpositive_tol_exit_2(capsys, argv, tol):
     (("table", "--family", "complex-homogeneous", "--n", "0", "--d-max", "3"),
      "need n >= 1, got 0"),
     (("table", "--family", "hilbert-real", "--n", "0", "--d-max", "3"), "need n >= 1, got 0"),
+    # an n or d beyond the float range, which every float formula would overflow on
+    *(((*argv, "--n", HUGE, *rest), "need n <= 1.798e+308, the largest float") for argv, rest in [
+        (("limits", "--family", "harmonic"), ()),
+        (("compute", "--family", "harmonic"), ("--d", "1")),
+        (("converge", "--family", "harmonic"), ("--d-values", "2,4")),
+        (("table", "--family", "harmonic"), ("--d-max", "3")),
+        (("compute", "--family", "hilbert-real"), ("--d", "1")),
+        (("compute", "--family", "hilbert-complex"), ("--d", "1")),
+        (("compute", "--family", "complex-homogeneous"), ("--d", "1")),
+        (("kernel", "--family", "harmonic"), ("--d", "1", "--samples", "3")),
+    ]),
+    (("compute", "--family", "polyleq", "--n", "3", "--d", HUGE), "need d <= 1.798e+308, the largest float"),
 ], ids=["harmonic-n1", "hilbert-real", "hilbert-complex", "table-hilbert-real",
         "table-hilbert-complex", "table-harmonic-n1", "table-complex-homogeneous-n0",
-        "table-hilbert-real-n0"])
+        "table-hilbert-real-n0", "limits-huge-n", "compute-huge-n", "converge-huge-n",
+        "table-huge-n", "hilbert-real-huge-n", "hilbert-complex-huge-n",
+        "complex-homogeneous-huge-n", "kernel-huge-n", "polyleq-huge-d"])
 def test_compute_usage_error_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -205,6 +225,20 @@ def test_compute_unknown_family_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--family", "bogus", "--n", "3", "--d", "2"])
     assert exc.value.code == 2
+    # verify has no hidden fault switch
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
+
+
+def test_no_hidden_options():
+    """Every option of every subcommand shows in --help."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *sub.choices.values()):
+        for action in p._actions:
+            assert action.help != argparse.SUPPRESS, (p.prog, action.option_strings)
 
 
 def test_compute_tolerance_exit_3(capsys):
@@ -388,16 +422,27 @@ def test_verify_explain_writes_only_stderr(capsys, monkeypatch):
         assert record["wall_s"] >= 0.0
 
 
-def test_verify_fault_injection_detected(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "42", "--inject-fault")
+def test_verify_fault_injection_detected(capsys, monkeypatch):
+    # scale every lambda of the n >= 3 route by 1.01: verify must catch it
+    def scaled(fn):
+        def wrong(n, d, tol=DEFAULT_TOL):
+            res = fn(n, d, tol)
+            return replace(res, value=1.01 * res.value) if res.method == "ExactArchSum" else res
+        return wrong
+
+    for name in ("lambda_harmonic", "lambda_homogeneous", "lambda_poly_leq"):
+        monkeypatch.setattr(verify, name, scaled(getattr(verify, name)))
+    code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
     assert code == 1
     lines = out.strip().splitlines()
     failures = [json.loads(line) for line in lines[:-1]]
     assert failures, "injected fault must surface as explicit failures"
     for failure in failures:
         assert {"check", "expected", "got", "tolerance"} <= set(failure)
+        assert failure["check"].startswith("constants.")
     assert "0 failures" not in lines[-1]
-    # the fault is an argument, not state: the next unfaulted run passes
+    # with the patch undone the same run passes
+    monkeypatch.undo()
     code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
     assert code == 0
 

@@ -53,18 +53,24 @@ def test_kernel_polyleq_small_sum_values():
 
 
 def test_kernel_n2_trig_forms():
+    # with t = cos(theta): 2 cos(d theta) (1 at d = 0), sin((d+1) theta)/sin(theta)
+    # and the Dirichlet kernel sin((d+1/2) theta)/sin(theta/2); at theta = 0
+    # and pi the limits are given apart, since sin(pi) rounds to 1.2e-16, not 0
     theta = np.linspace(0.0, math.pi, 301)
-    t = np.cos(theta)
-    d = 5
-    harm = kernel_axial_closed(SpaceId(Family.HARMONIC, 2, d), t)
-    assert np.allclose(harm, 2 * np.cos(d * theta), atol=1e-10)
-    full = kernel_axial_closed(SpaceId(Family.POLY_LEQ, 2, d), t)
-    expect = np.where(
-        np.sin(theta / 2) != 0,
-        np.sin((d + 0.5) * theta) / np.where(np.sin(theta / 2) != 0, np.sin(theta / 2), 1.0),
-        2 * d + 1,
-    )
-    assert np.allclose(full, expect, atol=1e-9)
+    inner = theta[1:-1]
+    for d in (0, 1, 5, 40, 400):
+        sign = (-1.0) ** d
+        forms = {
+            Family.HARMONIC: (2 * np.cos(d * inner) if d else np.ones_like(inner), 2 * sign if d else 1.0),
+            Family.HOMOGENEOUS: (np.sin((d + 1) * inner) / np.sin(inner), (d + 1) * sign),
+            Family.POLY_LEQ: (np.sin((d + 0.5) * inner) / np.sin(inner / 2), sign),
+        }
+        for family, (interior, at_minus_one) in forms.items():
+            space = SpaceId(family, 2, d)
+            dim = dim_space(space)
+            expect = np.concatenate(([dim], interior, [at_minus_one]))
+            err = np.max(np.abs(kernel_axial_closed(space, np.cos(theta)) - expect))
+            assert err <= 1e-10 * dim, (space, err)
 
 
 def test_kernel_endpoint_minus_one_homogeneous():

@@ -151,32 +151,24 @@ def test_triangle_inequality_strict_gap():
         assert res.value > 1e-3
 
 
-def test_tolerance_error_on_impossible_request():
-    from projconst.errors import ToleranceError
-
-    with pytest.raises(ToleranceError) as exc:
-        integrate_abs_jacobi(JacobiParams(0.0, 0.0, 50), 0.0, tol=1e-18)
-    assert exc.value.achieved > 1e-18
-    assert exc.value.value > 0
+def test_abs_err_on_impossible_request():
+    # the caller, not the route, compares abs_err with a tolerance
+    res = integrate_abs_jacobi(JacobiParams(0.0, 0.0, 50), 0.0)
+    assert res.abs_err > 1e-18
+    assert res.value > 0
 
 
-def test_tolerance_error_when_reported_error_exceeds_tol():
+def test_abs_err_floored_at_value_rounding():
     # the order-doubling difference may vanish, but abs_err is floored at
-    # 1e-15 times the value, so a tighter tol cannot be met
-    from projconst.errors import ToleranceError
-
-    with pytest.raises(ToleranceError) as exc:
-        integrate_abs_jacobi(JacobiParams(0.0, 0.0, 1), 0.0, tol=1e-17)
-    assert exc.value.achieved == pytest.approx(1e-15, rel=1e-6)
-    res = integrate_abs_jacobi(JacobiParams(0.0, 0.0, 1), 0.0, tol=1e-14)
+    # 1e-15 times the value
+    res = integrate_abs_jacobi(JacobiParams(0.0, 0.0, 1), 0.0)
+    assert res.abs_err == pytest.approx(1e-15, rel=1e-6)
     assert res.abs_err <= 1e-14
 
 
 def test_invalid_inputs():
     with pytest.raises(DomainError):
         integrate_abs_jacobi(JacobiParams(0.0, 0.0, 2), -1.0)
-    with pytest.raises(DomainError):
-        integrate_abs_jacobi(JacobiParams(0.0, 0.0, 2), 0.0, tol=0.0)
     with pytest.raises(DomainError):
         dirichlet_lebesgue(-1, "full")
     with pytest.raises(DomainError):

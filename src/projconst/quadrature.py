@@ -13,7 +13,9 @@ singularity (gamma < 0) stays inside the rule, and interior arches fold the
 weight into the integrand under Gauss-Legendre. The Dirichlet-kernel
 integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
 All three routes only compute value +- abs_err; constants.projection_constant
-decides whether a lambda meets tol.
+decides whether a lambda meets tol. scipy is imported only where it is used:
+`betainc` for a kernel whose degree set holds 0 (polyleq, and homogeneous at
+even d), and scipy.linalg by `jacobi_roots` for more than 32 roots.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ConvergenceError, DomainError
 from .gammafn import beta as beta_fn
@@ -212,6 +213,8 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
         # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error
         oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * b1
         if 0 in degrees:
+            from scipy.special import betainc  # only this branch needs scipy
+
             incomplete = betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + x))
             top = 1.0  # I(1): the weight's total mass times c_n
         else:

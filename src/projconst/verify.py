@@ -12,7 +12,6 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .asymptotics import LimitSpec, limit_constant
 from .constants import (
@@ -28,7 +27,7 @@ from .kernels import kernel_axial_closed, kernel_axial_sum, kernel_l2_norm
 from .oracle import gram_basis, kernel_bruteforce, montecarlo_sphere
 from .orthopoly import (
     JacobiParams,
-    _recurrence_tridiagonal,
+    _recurrence_eigenvalues,
     jacobi_eval,
     jacobi_roots,
     jacobi_symmetry_check,
@@ -112,7 +111,7 @@ def _check_orthopoly(seed: int, quick: bool) -> list[dict]:
     # symmetric roots come from a half-size problem; the full eigensolve agrees
     for d in (7, 8):
         got = jacobi_roots(JacobiParams(0.5, 0.5, d))
-        full = eigvalsh_tridiagonal(*_recurrence_tridiagonal(0.5, 0.5, d))
+        full = _recurrence_eigenvalues(0.5, 0.5, d)  # dense np.linalg.eigvalsh
         err = float(np.max(np.abs(got - full)))
         if err > 1e-13:
             failures.append(_fail(f"orthopoly.symmetric_roots[{d}]", 0.0, err, 1e-13))

@@ -3,7 +3,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -143,9 +147,23 @@ def test_polyleq_jacobi_overflow_exit_3(capsys):
     assert out.strip().splitlines()[1].endswith(",nan,inf,ToleranceFailure")
 
 
+# from n = 1e17 the eigenvalue nearest -1 rounds to -1, where P' is infinite
+_HUGE_N = [(n, d) for n in (10**17, 10**21) for d in (2, 3, 4)]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
+@pytest.mark.parametrize("n,d", _HUGE_N)
+def test_polyleq_huge_n_exit_3(capsys, n, d):
+    code, out, err = run_cli(capsys, "compute", "--family", "polyleq", "--n", str(n), "--d", str(d))
+    assert code == 3
+    assert out == ""
+    assert err == f"tolerance not met: lambda overflows double precision at n={n}, d={d}\n"
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 @pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
-@pytest.mark.parametrize("n,d", [(1500, 1000), (939, 1139)])  # at (939, 1139) only the arch sum overflows
+# at (939, 1139) only the arch sum overflows
+@pytest.mark.parametrize("n,d", [(1500, 1000), (939, 1139), *_HUGE_N])
 def test_symmetric_jacobi_overflow_one_stderr_line(capsys, family, n, d):
     code, out, err = run_cli(
         capsys, "compute", "--family", family, "--n", str(n), "--d", str(d), "--tol", "1e300"
@@ -508,3 +526,40 @@ def test_cli_exit_code_is_0_2_or_3(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3), argv
+
+
+# commands whose every eigenproblem has at most 32 rows and which need no
+# incomplete beta; scipy must stay unloaded while they run
+_COLD_ARGVS = [
+    ["compute", "--family", "harmonic", "--n", "3", "--d", "64"],
+    ["compute", "--family", "homogeneous", "--n", "3", "--d", "7"],
+    ["compute", "--family", "polyleq", "--n", "2", "--d", "5"],
+    ["compute", "--family", "complex-homogeneous", "--n", "3", "--d", "5"],
+    ["compute", "--family", "hilbert-real", "--n", "3", "--d", "1"],
+    ["limits", "--family", "harmonic", "--n", "3"],
+    ["kernel", "--family", "harmonic", "--n", "3", "--d", "6", "--samples", "101"],
+    ["table", "--family", "harmonic", "--n", "3", "--d-max", "20"],
+]
+
+_COLD_PROCESS = """
+import contextlib, io, json, sys
+import projconst.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = projconst.cli.main(argv)
+    loaded.append([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_small_commands_do_not_import_scipy():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROCESS, json.dumps(_COLD_ARGVS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, scipy_modules) in zip(_COLD_ARGVS, json.loads(proc.stdout)):
+        assert code == 0, argv
+        assert scipy_modules == [], argv

@@ -8,6 +8,7 @@ from mpmath import mp
 from projconst.errors import DomainError
 from projconst.gammafn import (
     GammaRatioSpec,
+    _digamma,
     beta,
     duplication_residual,
     gamma_ratio,
@@ -44,6 +45,15 @@ def test_gamma_ratio_complex_projection_value():
     # n=2, d=2: Gamma(4)Gamma(2)/(Gamma(3)Gamma(3)) = 6/4
     spec = GammaRatioSpec((4.0, 2.0), (3.0, 3.0))
     assert gamma_ratio(spec) == pytest.approx(1.5, rel=1e-13)
+
+
+def test_digamma_matches_mpmath():
+    # x spans the shift (x < 10), psi's zero near 1.4616 and the bare series
+    xs = [10.0 ** (k / 20.0) for k in range(-120, 141)]
+    xs += [1.0 + k / 200.0 for k in range(2001)] + [1.4616321449683622, 9.999999999999998, 10.0]
+    for x in xs:
+        expected = mp.digamma(x)
+        assert abs(_digamma(x) - expected) <= 1e-15 * max(1.0, abs(expected)), x
 
 
 def test_gamma_ratio_rejects_nonpositive():

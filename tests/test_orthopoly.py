@@ -11,6 +11,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from projconst.orthopoly import (
     JacobiParams,
     _jacobi_value_deriv,
+    _recurrence_eigenvalues,
     _recurrence_tridiagonal,
     jacobi_eval,
     jacobi_roots,
@@ -193,6 +194,26 @@ def test_jacobi_roots_symmetric_half_size(alpha):
         assert np.all(np.diff(roots) > 0), d
         if d % 2:
             assert roots[d // 2] == 0.0 and np.count_nonzero(roots == 0.0) == 1, d
+
+
+@pytest.mark.parametrize("alpha, beta_", [(1.5, 0.5), (0.5, 1.5), (24.5, 23.5), (3.5, -0.5)])
+def test_jacobi_roots_asymmetric_both_eigensolvers(alpha, beta_):
+    # d = 1..80 crosses the size at which the dense eigensolve hands over to scipy's
+    for d in range(1, 81):
+        roots = jacobi_roots(JacobiParams(alpha, beta_, d))
+        assert np.max(np.abs(roots - _full_eigensolve(alpha, beta_, d))) <= 1e-13, d
+        assert np.all(np.diff(roots) > 0), d
+
+
+@pytest.mark.parametrize("alpha, beta_", [(0.5, 0.5), (1.5, 0.5), (24.5, 23.5), (3.5, -0.5), (3.5, 0.5)])
+def test_dense_eigensolve_is_bit_identical(alpha, beta_):
+    # the dense and the tridiagonal solver end in the same LAPACK sterf, so the
+    # size cutoff between them cannot change a root
+    for m in range(1, 65):
+        diag, off = _recurrence_tridiagonal(alpha, beta_, m)
+        tridiagonal = eigvalsh_tridiagonal(diag, off)
+        assert np.array_equal(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1)), tridiagonal), m
+        assert np.array_equal(_recurrence_eigenvalues(alpha, beta_, m), tridiagonal), m
 
 
 @pytest.mark.parametrize("d", [2000, 2001])

@@ -20,7 +20,7 @@ from .errors import (
     ToleranceError,
     UnsupportedCombinationError,
 )
-from .gammafn import GammaRatioSpec, beta, duplication_residual, gamma_ratio, log_gamma
+from .gammafn import beta, duplication_residual, gamma_ratio, log_gamma
 from .geometry import (
     Family,
     SpaceId,

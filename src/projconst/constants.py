@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ToleranceError
-from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
+from .gammafn import gamma_ratio
 from .geometry import FAMILY_TABLE, Family, SpaceId, _require_float_range, axial_constant, kernel_scale
 from .quadrature import dirichlet_lebesgue, integrate_abs_kernel
 from .result import ComputationResult
@@ -93,12 +93,7 @@ def lambda_complex_homogeneous(n: int, d: int) -> ComputationResult:
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
     try:
-        value = gamma_ratio(
-            GammaRatioSpec(
-                numerator_args=(float(n + d), 1.0 + d / 2.0),
-                denominator_args=(1.0 + d, n + d / 2.0),
-            )
-        )
+        value = gamma_ratio((float(n + d), 1.0 + d / 2.0), (1.0 + d, n + d / 2.0))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -118,13 +113,9 @@ def lambda_hilbert(n: int, field: str = "real") -> ComputationResult:
         raise DomainError(f"need n >= 1, got {n}")
     _require_float_range("n", n)
     if field == "real":
-        value = 2.0 / math.sqrt(math.pi) * math.exp(
-            log_gamma((n + 2) / 2.0) - log_gamma((n + 1) / 2.0)
-        )
+        value = 2.0 / math.sqrt(math.pi) * gamma_ratio(((n + 2) / 2.0,), ((n + 1) / 2.0,))
     elif field == "complex":
-        value = math.sqrt(math.pi) / 2.0 * math.exp(
-            log_gamma(n + 1.0) - log_gamma(n + 0.5)
-        )
+        value = math.sqrt(math.pi) / 2.0 * gamma_ratio((n + 1.0,), (n + 0.5,))
     else:
         raise DomainError(f"field must be 'real' or 'complex', got {field!r}")
     return ComputationResult(

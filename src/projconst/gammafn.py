@@ -9,12 +9,10 @@ quotient does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 
 __all__ = [
-    "GammaRatioSpec",
     "log_gamma",
     "gamma_ratio",
     "beta",
@@ -22,11 +20,6 @@ __all__ = [
 ]
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
-
-# relative distance of a - b from an integer below which gamma_ratio treats
-# the offset as an integer plus a first-order correction; the neglected
-# delta^2 psi'(a) / 2 stays below 1e-24 max(a, 1), under 1e-17 up to a ~ 1e7
-_NEAR_INTEGER = 1e-12
 
 
 def log_gamma(x: float) -> float:
@@ -36,51 +29,41 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class GammaRatioSpec:
-    """A product of gamma values divided by another product of gamma values.
+def gamma_ratio(numerator_args: tuple[float, ...], denominator_args: tuple[float, ...]) -> float:
+    """prod Gamma(num) / prod Gamma(den) for positive arguments.
 
-    All arguments must be strictly positive; evaluation goes through sums and
-    differences of log-gamma, never through direct Gamma products.
-    """
-
-    numerator_args: tuple[float, ...] = field(default=())
-    denominator_args: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        for a in (*self.numerator_args, *self.denominator_args):
-            if a <= 0:
-                raise DomainError(f"gamma ratio argument must be positive, got {a}")
-
-
-def gamma_ratio(spec: GammaRatioSpec) -> float:
-    """prod Gamma(num) / prod Gamma(den), finite for arguments up to ~1e7.
-
-    Argument pairs at a small integer offset are reduced through the
+    Argument pairs at a small integer offset m are reduced through the
     recurrence Gamma(x+m) = (x+m-1)...(x) Gamma(x) as an exact product; only
     the leftover arguments go through log-gamma differences, whose rounding
-    would otherwise dominate for nearly cancelling pairs. An offset that is
-    an integer m only up to rounding, a - b = m + delta (as for a = x + 1
-    rounded), takes the same product times 1 + delta psi(max(a, b)), which
-    is exact to O(delta^2).
+    would otherwise dominate for nearly cancelling pairs. A pair counts as
+    such only if a = b + m or b = a - m holds in floating point, so the
+    offset is m exactly or up to the rounding of that sum, a - b = m + delta
+    with |delta| <= eps max(a, b). The rounding is undone by the factor
+    1 + delta psi(c), c = max(a, b), where psi(c) ~ ln(c + 1/2) - 1/c is off
+    by at most 0.12. Any other offset, half-integers included, takes the
+    log-gamma difference. DomainError for an argument that is not positive.
     """
+    for a in (*numerator_args, *denominator_args):
+        if a <= 0:
+            raise DomainError(f"gamma ratio argument must be positive, got {a}")
     factor = 1.0
     leftover_num = []
-    dens = list(spec.denominator_args)
-    for a in spec.numerator_args:
+    dens = list(denominator_args)
+    for a in numerator_args:
         for i, b in enumerate(dens):
             diff = a - b
             m = round(diff)
-            delta = diff - m
-            if abs(m) <= 64 and abs(delta) <= _NEAR_INTEGER * max(a, b):
+            if abs(m) <= 64 and (b + m == a or a - m == b):
                 if m >= 0:
                     for j in range(m):
                         factor *= b + j
                 else:
                     for j in range(-m):
                         factor /= a + j
+                delta = diff - m
                 if delta:
-                    factor *= 1.0 + delta * _digamma(max(a, b))
+                    c = max(a, b)
+                    factor *= 1.0 + delta * (math.log(c + 0.5) - 1.0 / c)
                 del dens[i]
                 break
         else:
@@ -89,39 +72,6 @@ def gamma_ratio(spec: GammaRatioSpec) -> float:
     log_den = math.fsum(math.lgamma(b) for b in dens)
     # math.exp raises OverflowError if the final quotient is not representable
     return factor * math.exp(log_num - log_den)
-
-
-# psi's asymptotic series: B_2k / (2k) for k = 1..7, the terms through x^-14
-_PSI_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-
-def _digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0.
-
-    psi(x) = psi(x+1) - 1/x shifts x up to 10, where the asymptotic series
-    ln x - 1/(2x) - sum B_2k / (2k x^2k) through x^-14 leaves under 5e-17
-    (through x^-12 it leaves 8e-16, near the 1e-15 that psi needs close to
-    its zero at x = 1.4616). The terms are added by fsum, so that
-    cancellation costs no more than a few roundings.
-    """
-    terms = []
-    while x < 10.0:
-        terms.append(-1.0 / x)
-        x += 1.0
-    inv_sq = 1.0 / (x * x)
-    power = inv_sq
-    for c in _PSI_SERIES:
-        terms.append(-c * power)
-        power *= inv_sq
-    return math.fsum([*terms, math.log(x), -0.5 / x])
 
 
 def beta(a: float, b: float) -> float:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import DomainError
-from .gammafn import GammaRatioSpec, gamma_ratio, log_gamma
+from .gammafn import gamma_ratio, log_gamma
 
 __all__ = [
     "Family",
@@ -131,8 +131,8 @@ def axial_constant(n: int) -> float:
     # with 1/2 or 1 at an integer offset lets gamma_ratio use the recurrence
     # product instead of a log-gamma difference, whose rounding grows with n
     if n % 2:
-        return gamma_ratio(GammaRatioSpec((n / 2.0, 1.0), (0.5, (n - 1) / 2.0)))
-    return gamma_ratio(GammaRatioSpec((n / 2.0, 0.5), (1.0, (n - 1) / 2.0))) / math.pi
+        return gamma_ratio((n / 2.0, 1.0), (0.5, (n - 1) / 2.0))
+    return gamma_ratio((n / 2.0, 0.5), (1.0, (n - 1) / 2.0)) / math.pi
 
 
 def kernel_scale(space: SpaceId) -> float:
@@ -146,7 +146,7 @@ def kernel_scale(space: SpaceId) -> float:
     a = FAMILY_TABLE[space.family].jacobi(space.n)[0]
     d = space.d
     try:
-        return space.dim / gamma_ratio(GammaRatioSpec((d + a + 1.0,), (d + 1.0, a + 1.0)))
+        return space.dim / gamma_ratio((d + a + 1.0,), (d + 1.0, a + 1.0))
     except OverflowError:
         log_p_one = log_gamma(d + a + 1.0) - log_gamma(d + 1.0) - log_gamma(a + 1.0)
         try:

@@ -235,8 +235,10 @@ def jacobi_roots(params: JacobiParams) -> np.ndarray:
     if a == b and d >= 2:
         y, step = _eigen_newton(a, 0.5 if d % 2 else -0.5, d // 2)
         # (1 + y) - step, not 1 + (y - step): 1 + y is exact near y = -1, so
-        # the smallest roots keep the relative accuracy that rounding the
-        # polished y would cost them (about 1e-14 absolute at d = 1600)
+        # the roots nearest 0 are spared the rounding of the polished y (about
+        # 1e-14 absolute at d = 1600). They still carry y's own error, about
+        # 1e-15 absolute (5400 ulp relative nearest 0 of P_1600), which lambda
+        # does not feel: the arch sum's antiderivative is stationary at a root
         pos = np.sqrt(0.5 * np.clip((1.0 + y) - step, 0.0, 2.0))
         roots = np.concatenate((-pos[::-1], [0.0] if d % 2 else [], pos))
     else:

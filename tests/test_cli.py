@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from projconst import verify
 from projconst.cli import CSV_HEADER, FAMILIES, SPHERE_FAMILIES, build_parser, main
@@ -171,6 +172,33 @@ def test_symmetric_jacobi_overflow_one_stderr_line(capsys, family, n, d):
     assert code == 3
     assert out == ""
     assert err == f"tolerance not met: lambda overflows double precision at n={n}, d={d}\n"
+
+
+# lambda at n = 1e12 takes a Gamma ratio with a half-integer offset, which a
+# relative near-integer threshold once read as an integer: harmonic d = 1
+# printed 16.33 and complex-homogeneous d = 3 a negative value, both with exit 0
+_N_LARGE = 10**12
+
+
+@pytest.mark.parametrize("family,d,exact_ratio,largest", [
+    # harmonic d = 1 is the real Rutovitz constant; c_n's Gamma(n/2) is the
+    # largest argument of a log-gamma difference
+    ("harmonic", 1,
+     lambda n: 2 / mp.sqrt(mp.pi) * mp.gamma((n + 2) / 2) / mp.gamma((n + 1) / 2), _N_LARGE / 2),
+    ("complex-homogeneous", 3,
+     lambda n: mp.gamma(n + 3) * mp.gamma(mp.mpf(5) / 2) / (mp.gamma(4) * mp.gamma(n + mp.mpf(3) / 2)),
+     _N_LARGE + 3.0),
+], ids=["harmonic", "complex-homogeneous"])
+def test_compute_half_integer_offset_at_large_n(capsys, family, d, exact_ratio, largest):
+    code, out, err = run_cli(
+        capsys, "compute", "--family", family, "--n", str(_N_LARGE), "--d", str(d), "--format", "json"
+    )
+    assert code == 0 and err == ""
+    value = json.loads(out)["value"]
+    with mp.workdps(40):
+        exact = exact_ratio(mp.mpf(_N_LARGE))
+    # the rounding of one log-gamma difference at the largest argument
+    assert abs(value - exact) <= 8 * sys.float_info.epsilon * math.lgamma(largest) * exact
 
 
 def test_kernel_overflow_exit_3(capsys):
@@ -365,14 +393,21 @@ def test_limits_invalid_combination_exit_2(capsys):
 
 
 def test_converge(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "converge", "--family", "harmonic", "--n", "3", "--d-values", "20,80",
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "d,finite_ratio,limit,deviation"
-    assert len(lines) == 3
+    # harmonic's deviations shrink; homogeneous's at d = 2, 3 do not, which
+    # takes the warning branch
+    for family, d_values, warning in [
+        ("harmonic", "20,80", ""),
+        ("homogeneous", "2,3", "warning: |deviation| not monotonically decreasing\n"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "converge", "--family", family, "--n", "3", "--d-values", d_values,
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "d,finite_ratio,limit,deviation"
+        assert len(lines) == 3
+        assert err == warning
 
 
 @pytest.mark.parametrize("n,d_values", [
@@ -408,9 +443,12 @@ def test_converge_tolerance_exit_3(capsys, extra, reason):
 
 
 def test_verify_quick(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", "42")
-    assert code == 0
-    assert "0 failures (seed=42)" in out
+    # draw 94 of seed 924406, x = 63.45810509907083, has x + 1 - x != 1; a
+    # log-gamma difference there once failed gamma.recurrence
+    for seed in ("42", "924406"):
+        code, out, _ = run_cli(capsys, "verify", "--quick", "--seed", seed)
+        assert code == 0
+        assert f"0 failures (seed={seed})" in out
 
 
 def test_verify_quick_deterministic(capsys):
@@ -466,10 +504,8 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
 
 
 def test_kernel_csv(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "kernel", "--family", "harmonic", "--n", "3", "--d", "2", "--samples", "5",
-    )
+    argv = ("kernel", "--family", "harmonic", "--n", "3", "--d", "2", "--samples", "5")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "t,k_sum,k_closed"
@@ -478,6 +514,12 @@ def test_kernel_csv(capsys):
     assert t == 1.0
     assert k_sum == pytest.approx(5.0, rel=1e-12)
     assert k_closed == pytest.approx(5.0, rel=1e-12)
+    # --format json prints the same rows as one record per line
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [[r["t"], r["k_sum"], r["k_closed"]] for r in records] == rows
 
 
 def test_kernel_bad_samples_exit_2(capsys):

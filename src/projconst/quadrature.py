@@ -11,7 +11,9 @@ of the same recurrence. `integrate_abs_jacobi` is the general route for any
 end arches map the rule for (1+t)^gamma, mirrored at +1, so an endpoint
 singularity (gamma < 0) stays inside the rule, and interior arches fold the
 weight into the integrand under Gauss-Legendre. The Dirichlet-kernel
-integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`).
+integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`),
+built in chunks of 2^16 terms and summed exactly in integer limbs, then
+rounded once: O(d) time and O(2^16) memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
 `betainc` for a kernel whose degree set holds 0 (polyleq, and homogeneous at
@@ -53,10 +55,14 @@ _ARCH_SUM_ROUNDING = 48.0
 
 # abs_err of dirichlet_lebesgue, in units of eps times the value. Each term
 # takes about five roundings (the angle, the tangent, its reciprocal, 4/pi and
-# the division by p); against the 300 n = 2 homogeneous and polyleq values of
+# the division by p), and the exact sum adds one final rounding, as fsum did;
+# against the 300 n = 2 homogeneous and polyleq values of
 # perfbench/reference.json (d up to 1e5) the error reached 1.35 such units;
-# 8 covers all five roundings of every term with a margin.
+# 8 covers all five roundings of every term and the last one with a margin.
 _FEJER_ROUNDING = 8.0
+
+# Fejer terms per chunk of dirichlet_lebesgue: the memory of a sum at any d
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +239,46 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     )
 
 
+def _exact_sum(chunks) -> float:
+    """Correctly rounded sum of every entry of an iterable of arrays, as math.fsum
+    gives it.
+
+    Each array holds at most _CHUNK + 1 entries in [0, 2). Scaled by 2^29, an
+    entry is below 2^30 and splits exactly into 30-bit integer limbs: floor
+    takes the top limb, the remainder is exact, and 2^30 times it is the next
+    level. At most 36 levels reach the lowest bit of a double, so a Python int
+    at scale 2^1079 holds the sum exactly; each level's limbs sum exactly in
+    float64, since (_CHUNK + 1) 2^30 < 2^53. One int/int division, which
+    CPython rounds correctly, gives the float.
+    """
+    total = 0
+    for chunk in chunks:
+        r = chunk * 2.0**29
+        shift = 30 * 35
+        while r.any():
+            limb = np.floor(r)
+            r -= limb
+            total += int(limb.sum()) << shift
+            shift -= 30
+            r *= 2.0**30
+    return total / (1 << 1079)
+
+
+def _fejer_terms(n_arches: int):
+    """Yield Fejer's terms for N arches in chunks of _CHUNK, p counting down from N-1.
+
+    The first chunk also holds [N odd]/N; at N = 1 that is its only entry.
+    """
+    angle = math.pi / (2 * n_arches)
+    head = [1.0 / n_arches] if n_arches % 2 else []
+    for top in range(n_arches - 1, -1, -2 * _CHUNK):
+        p = np.arange(top, max(top - 2 * _CHUNK, 0), -2, dtype=float)
+        small = np.tan(np.minimum(p, n_arches - p) * angle)
+        terms = (4.0 / math.pi) * np.where(2 * p <= n_arches, small, 1.0 / small) / p
+        yield np.append(terms, head) if head else terms
+        head = []
+
+
 def dirichlet_lebesgue(d: int, kind: str) -> ComputationResult:
     """Lebesgue-type integral of the Dirichlet kernel over a full period.
 
@@ -242,9 +288,12 @@ def dirichlet_lebesgue(d: int, kind: str) -> ComputationResult:
     With N = 2d+1 ("full") or d+1 ("half") arches, Fejer's (1910) finite sum
     gives both as [N odd]/N + (4/pi) sum tan(p pi/(2N))/p over 0 < p < N with
     N-p odd. A tangent beyond pi/4 is taken as 1/tan((N-p) pi/(2N)): N-p is an
-    exact integer, so the small argument keeps full relative accuracy. abs_err
-    is a rounding estimate, a fixed multiple of eps times the summed terms;
-    projection_constant compares it with the requested tolerance.
+    exact integer, so the small argument keeps full relative accuracy. The
+    terms are built in chunks of _CHUNK and summed exactly (`_exact_sum`),
+    then rounded once: O(d) time and O(_CHUNK) memory at every d. N may not
+    exceed 2^53, beyond which p and N-p are no longer exact floats (DomainError).
+    abs_err is a rounding estimate, a fixed multiple of eps times the summed
+    terms; projection_constant compares it with the requested tolerance.
     """
     if d < 0:
         raise DomainError(f"need d >= 0, got {d}")
@@ -252,9 +301,8 @@ def dirichlet_lebesgue(d: int, kind: str) -> ComputationResult:
         raise DomainError(f"kind must be 'full' or 'half', got {kind!r}")
 
     n_arches = 2 * d + 1 if kind == "full" else d + 1
-    p = np.arange(n_arches - 1, 0, -2, dtype=float)
-    small = np.tan(np.minimum(p, n_arches - p) * (math.pi / (2 * n_arches)))
-    terms = (4.0 / math.pi) * np.where(2 * p <= n_arches, small, 1.0 / small) / p
-    value = math.fsum([1.0 / n_arches if n_arches % 2 else 0.0, *terms.tolist()])
+    if n_arches > 2**53:
+        raise DomainError(f"need at most 2**53 arches, got {n_arches} at d={d}, kind={kind!r}")
+    value = _exact_sum(_fejer_terms(n_arches))
     # every term is positive, so the summed sizes are the value itself
     return ComputationResult(value, _FEJER_ROUNDING * math.ulp(1.0) * value, "FejerSum")

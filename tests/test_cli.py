@@ -161,6 +161,18 @@ def test_polyleq_huge_n_exit_3(capsys, n, d):
     assert err == f"tolerance not met: lambda overflows double precision at n={n}, d={d}\n"
 
 
+# n = 2 polyleq sums over 2d+1 arches ("full"), homogeneous over d+1 ("half");
+# past 2**53 arches the arch offsets are no longer exact floats
+@pytest.mark.parametrize("family,d", [
+    ("polyleq", 2**52), ("polyleq", 10**308), ("homogeneous", 2**53), ("homogeneous", 10**308),
+])
+def test_n2_beyond_exact_arch_count_exit_2(capsys, family, d):
+    code, out, err = run_cli(capsys, "compute", "--family", family, "--n", "2", "--d", str(d))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need at most 2**53 arches") and err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 @pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
 # at (939, 1139) only the arch sum overflows

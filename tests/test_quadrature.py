@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,6 +12,8 @@ from projconst.constants import lambda_homogeneous, lambda_poly_leq
 from projconst.errors import DomainError
 from projconst.orthopoly import JacobiParams
 from projconst.quadrature import (
+    _CHUNK,
+    _exact_sum,
     dirichlet_lebesgue,
     gauss_jacobi_rule,
     integrate_abs_jacobi,
@@ -264,6 +267,69 @@ def test_dirichlet_against_mpmath_fejer_sums(d, kind):
     err = abs(mp.mpf(res.value) - _mp_dirichlet(d, kind))
     assert err <= 2e-15 * res.value
     assert err <= res.abs_err
+
+
+def _fejer_fsum(d: int, kind: str) -> float:
+    """Fejer's sum with every term in one array and one math.fsum over them all,
+    as dirichlet_lebesgue summed it before the chunked exact sum."""
+    n_arches = 2 * d + 1 if kind == "full" else d + 1
+    p = np.arange(n_arches - 1, 0, -2, dtype=float)
+    small = np.tan(np.minimum(p, n_arches - p) * (math.pi / (2 * n_arches)))
+    terms = (4.0 / math.pi) * np.where(2 * p <= n_arches, small, 1.0 / small) / p
+    return math.fsum([1.0 / n_arches if n_arches % 2 else 0.0, *terms.tolist()])
+
+
+# floor(N/2) tangent terms around the chunk boundaries; "half" at even and at
+# odd N, so with and without the 1/N term
+_BOUNDARY_TERMS = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("kind,d", [
+    *(("full", t) for t in _BOUNDARY_TERMS),  # N = 2t + 1
+    *(("half", 2 * t - 1) for t in _BOUNDARY_TERMS),  # N = 2t
+    *(("half", 2 * t) for t in _BOUNDARY_TERMS),  # N = 2t + 1
+])
+def test_dirichlet_chunk_boundaries_match_one_fsum(kind, d):
+    assert dirichlet_lebesgue(d, kind).value == _fejer_fsum(d, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    head=st.lists(st.one_of(
+        st.just(0.0),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-79, 1)),
+    ), max_size=3),
+    # up to three chunks, often just past a chunk boundary
+    length=st.one_of(st.integers(0, 2), st.builds(
+        lambda k, rest: k * _CHUNK + rest, st.integers(0, 2), st.integers(0, _CHUNK))),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_equals_fsum(head, length, zeros, seed):
+    # non-negative doubles below 2, exponents spread over [-80, 1], some zero
+    rng = np.random.default_rng(seed)
+    bulk = np.ldexp(rng.uniform(0.5, 1.0, length), rng.integers(-79, 2, length))
+    bulk[rng.random(length) < zeros] = 0.0
+    x = np.concatenate((head, bulk))
+    chunks = [x[i:i + _CHUNK] for i in range(0, len(x), _CHUNK)]
+    assert _exact_sum(chunks) == math.fsum(x.tolist())
+
+
+@pytest.mark.parametrize("kind,value,abs_err", [
+    ("half", 7.521849432021674, 1.336148868351059e-14),
+    ("full", 7.80277138284817, 1.3860506312198897e-14),
+])
+def test_dirichlet_memory_does_not_grow_with_d(kind, value, abs_err):
+    # with every term in one array and one list, the peak grew with d: 64 MB
+    # at d = 1e6 ("full"); the chunked sum keeps a few chunks of 2^16 terms
+    tracemalloc.start()
+    try:
+        res = dirichlet_lebesgue(10**7, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert (res.value, res.abs_err) == (value, abs_err)
 
 
 @settings(max_examples=30, deadline=None)

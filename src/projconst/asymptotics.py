@@ -53,34 +53,46 @@ def limit_constant(spec: LimitSpec) -> float:
     """The closed-form value of the corresponding limit.
 
     ToleranceError where it underflows double precision, that is, falls below
-    the smallest normal float (every d_power limit does from n = 302 on).
+    the smallest normal float (every d_power limit does from n = 302 on), and
+    where its log-gamma form overflows double precision (n from about 2.5e305
+    on, and for dim_sqrt at some n from about 1e280 on).
     """
     n = spec.n
     if spec.normalization == "log_d":
         return 4.0 / math.pi**2
 
-    log_quarter_sq = 2.0 * log_gamma(n / 4.0)
-    if spec.family is Family.HARMONIC:
-        if spec.normalization == "dim_sqrt":
+    # math.lgamma overflows from about 2.5e305 on; math.exp can overflow
+    # earlier, where the rounding of a log-gamma difference of size n ln n
+    # has swamped its value
+    try:
+        log_quarter_sq = 2.0 * log_gamma(n / 4.0)
+        if spec.family is Family.HARMONIC:
+            if spec.normalization == "dim_sqrt":
+                value = math.exp(
+                    (n - 0.5) * math.log(2.0) - 0.5 * log_gamma(n - 1.0) + log_quarter_sq
+                ) / math.pi**2
+            else:
+                value = math.exp(
+                    n * math.log(2.0) - log_gamma(n - 1.0) + log_quarter_sq
+                ) / math.pi**2
+        elif spec.family is Family.HOMOGENEOUS:
             value = math.exp(
-                (n - 0.5) * math.log(2.0) - 0.5 * log_gamma(n - 1.0) + log_quarter_sq
-            ) / math.pi**2
-        else:
+                (n + 1) * math.log(2.0)
+                + 2.0 * log_gamma(n / 4.0 + 0.5)
+                - log_gamma(n - 1.0)
+            ) / (math.pi**2 * (n - 2))
+        else:  # polyleq
             value = math.exp(
-                n * math.log(2.0) - log_gamma(n - 1.0) + log_quarter_sq
-            ) / math.pi**2
-    elif spec.family is Family.HOMOGENEOUS:
-        value = math.exp(
-            (n + 1) * math.log(2.0)
-            + 2.0 * log_gamma(n / 4.0 + 0.5)
-            - log_gamma(n - 1.0)
-        ) / (math.pi**2 * (n - 2))
-    else:  # polyleq
-        value = math.exp(
-            log_gamma(n / 2.0 - 1.0)
-            - (n / 2.0 - 3.0) * math.log(2.0)
-            - 2.0 * log_gamma(n / 2.0 - 0.5)
-        ) / math.pi
+                log_gamma(n / 2.0 - 1.0)
+                - (n / 2.0 - 3.0) * math.log(2.0)
+                - 2.0 * log_gamma(n / 2.0 - 0.5)
+            ) / math.pi
+    except OverflowError:
+        raise ToleranceError(
+            f"{spec.family.value} limit constant cannot be evaluated at n={n}, "
+            f"normalization={spec.normalization}: its log-gamma form overflows double precision",
+            value=math.nan, achieved=math.inf,
+        ) from None
     if value < sys.float_info.min:
         raise ToleranceError(
             f"{spec.family.value} limit constant underflows double precision at n={n}, "

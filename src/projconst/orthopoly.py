@@ -7,12 +7,15 @@ from its coefficient ratio recurrence, which avoids the catastrophic
 cancellation of the closed gamma-quotient form.
 
 Roots come from the eigenvalues of the symmetric tridiagonal recurrence
-matrix and one Newton step each, with P_d and P'_d from a single recurrence
-pass (P'_d follows from P_d and P_{d-1}). For a = b the quadratic
-transformation to a Jacobi polynomial of half the degree halves the
-eigenproblem. Eigenproblems of up to 32 rows are solved dense by numpy;
-only larger ones import scipy's tridiagonal solver, so small roots never
-load scipy.
+matrix. For a = b the quadratic transformation to a Jacobi polynomial of
+half the degree halves the eigenproblem (`_unfold_half_roots`). The
+eigenvalues alone (`_eigen_roots`) serve the arch sum of lambda, whose
+antiderivative is stationary at every root, so a root error e costs it
+O(e^2); `jacobi_roots`, which Gauss rules and `verify` use, adds one Newton
+step each, with P_d and P'_d from a single recurrence pass (P'_d follows
+from P_d and P_{d-1}). Eigenproblems of up to 32 rows are solved dense by
+numpy; only larger ones import scipy's tridiagonal solver, so small roots
+never load scipy.
 """
 
 from __future__ import annotations
@@ -237,11 +240,34 @@ def jacobi_roots(params: JacobiParams) -> np.ndarray:
         # (1 + y) - step, not 1 + (y - step): 1 + y is exact near y = -1, so
         # the roots nearest 0 are spared the rounding of the polished y (about
         # 1e-14 absolute at d = 1600). They still carry y's own error, about
-        # 1e-15 absolute (5400 ulp relative nearest 0 of P_1600), which lambda
-        # does not feel: the arch sum's antiderivative is stationary at a root
-        pos = np.sqrt(0.5 * np.clip((1.0 + y) - step, 0.0, 2.0))
-        roots = np.concatenate((-pos[::-1], [0.0] if d % 2 else [], pos))
-    else:
-        nodes, step = _eigen_newton(a, b, d)
-        roots = np.clip(nodes - step, -1.0, 1.0)
-    return roots
+        # 1e-15 absolute (5400 ulp relative nearest 0 of P_1600)
+        return _unfold_half_roots((1.0 + y) - step, d)
+    nodes, step = _eigen_newton(a, b, d)
+    return np.clip(nodes - step, -1.0, 1.0)
+
+
+def _eigen_roots(alpha: float, beta: float, degree: int) -> np.ndarray:
+    """Roots of P_d^{(a,b)} as the recurrence matrix's eigenvalues, unpolished, d >= 1.
+
+    jacobi_roots without the Newton step, halved the same way for a = b, so
+    each root keeps the eigensolve's error (about 1e-15 absolute at d = 1600);
+    a caller whose result is stationary at a root needs no more. Where the
+    eigenproblem collapses (huge a, b) the roots may fail to increase
+    strictly or reach +-1; the caller checks.
+    """
+    if alpha == beta and degree >= 2:
+        return _unfold_half_roots(
+            1.0 + _recurrence_eigenvalues(alpha, 0.5 if degree % 2 else -0.5, degree // 2), degree
+        )
+    return _recurrence_eigenvalues(alpha, beta, degree)
+
+
+def _unfold_half_roots(one_plus_y: np.ndarray, degree: int) -> np.ndarray:
+    """Roots of P_d^{(a,a)}, increasing, from 1 + y over the roots y of its half-degree problem.
+
+    By the quadratic transformation (DLMF 18.7.13-14) they are
+    +-sqrt((1+y)/2), plus 0 for odd d. 1 + y is passed in, not y, so that a
+    caller can form it exactly near y = -1, where the roots nearest 0 come from.
+    """
+    pos = np.sqrt(0.5 * np.clip(one_plus_y, 0.0, 2.0))
+    return np.concatenate((-pos[::-1], [0.0] if degree % 2 else [], pos))

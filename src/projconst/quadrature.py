@@ -4,20 +4,25 @@ The central operation integrates |P(t)| (1-t^2)^gamma for a Jacobi polynomial
 P. The absolute value has kinks exactly at the roots of P, so the interval is
 split there. For the axial kernels of the projection constants every arch has
 a closed antiderivative, and `integrate_abs_kernel` sums its differences at
-the roots exactly. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]: their
-nodes come from `jacobi_roots` and their weights are the Christoffel numbers
-of the same recurrence. `integrate_abs_jacobi` is the general route for any
-(a, b, gamma): each smooth arch is integrated to spectral accuracy; the two
-end arches map the rule for (1+t)^gamma, mirrored at +1, so an endpoint
-singularity (gamma < 0) stays inside the rule, and interior arches fold the
-weight into the integrand under Gauss-Legendre. The Dirichlet-kernel
-integrals of n = 2 are Fejer's finite sums of tangents (`dirichlet_lebesgue`),
-built in chunks of 2^16 terms and summed exactly in integer limbs, then
-rounded once: O(d) time and O(2^16) memory, for up to 2^53 arches.
+the roots exactly. Those roots are the recurrence matrix's eigenvalues with
+no Newton step, since the antiderivative is stationary at each root; for the
+symmetric kernels (harmonic, homogeneous) only the roots in [0, 1] are
+summed, and a root set that collapses at huge n is reported as a value that
+is not finite. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]: their
+nodes come from `jacobi_roots`, Newton-polished, and their weights are the
+Christoffel numbers of the same recurrence. `integrate_abs_jacobi` is the
+general route for any (a, b, gamma): each smooth arch is integrated to
+spectral accuracy; the two end arches map the rule for (1+t)^gamma,
+mirrored at +1, so an endpoint singularity (gamma < 0) stays inside the
+rule, and interior arches fold the weight into the integrand under
+Gauss-Legendre. The Dirichlet-kernel integrals of n = 2 are Fejer's finite
+sums of tangents (`dirichlet_lebesgue`), built in chunks of 2^16 terms and
+summed exactly in integer limbs, then rounded once: O(d) time and O(2^16)
+memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
 `betainc` for a kernel whose degree set holds 0 (polyleq, and homogeneous at
-even d), and scipy.linalg by `jacobi_roots` for more than 32 roots.
+even d), and scipy.linalg by any eigensolve of more than 32 rows.
 """
 
 from __future__ import annotations
@@ -28,10 +33,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .gammafn import beta as beta_fn
 from .geometry import FAMILY_TABLE, SpaceId, axial_constant
-from .orthopoly import JacobiParams, _jacobi_recurrence, _recurrence_tridiagonal, jacobi_roots
+from .orthopoly import (
+    JacobiParams,
+    _eigen_roots,
+    _jacobi_recurrence,
+    _recurrence_tridiagonal,
+    jacobi_roots,
+)
 from .result import ComputationResult
 
 __all__ = [
@@ -47,10 +58,12 @@ __all__ = [
 _DOUBLING_STOP = 1e-10
 
 # abs_err of integrate_abs_kernel, in units of eps times the summed sizes of
-# the antiderivative's two parts at the roots. Against 40-digit references
-# (every n >= 3 value of perfbench/reference.json) the error reached 29 such
-# units, at polyleq n = 4, d = 662; 48 keeps a margin, and n = 50, d <= 54
-# still meets the default tolerance, which allows up to 59 there.
+# the antiderivative's two parts at every root. Against 40-digit references
+# (every n >= 3 value of perfbench/reference.json) the error of the sum over
+# unpolished roots, half of them for the symmetric kernels, reached 25 such
+# units, at homogeneous n = 4, d = 275 (Newton-polished roots summed in full
+# reached 29, at polyleq n = 4, d = 662); 48 keeps a margin, and n = 50,
+# d <= 54 still meets the default tolerance, which allows up to 59 there.
 _ARCH_SUM_ROUNDING = 48.0
 
 # abs_err of dirichlet_lebesgue, in units of eps times the value. Each term
@@ -185,39 +198,48 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     with I(t) = c_n Int_{-1}^t (1-s^2)^gamma ds, a regularized incomplete
     beta. K keeps its sign between consecutive breakpoints -1, roots, 1, so
     the integral is the sum of |F(x_{j+1}) - F(x_j)|; the series is summed by
-    one Clenshaw pass over all roots, O(d^2) in all. abs_err estimates the
-    rounding of F at the roots: a fixed multiple of eps times the summed
-    sizes of both parts there. Where P or the sums overflow, the value is
-    not finite.
+    one in-place Clenshaw pass over the roots, O(d^2) in all.
+
+    The roots are the recurrence matrix's eigenvalues without a Newton step
+    (orthopoly._eigen_roots): F' = c_n K w vanishes at each root, so a root
+    error e moves F only by O(e^2). For harmonic and homogeneous spaces K has
+    the parity of d and F(-t) = F(1) - F(t), so only the roots in [0, 1] are
+    summed: twice the arches there, plus the middle arch |2F(x_1) - F(1)|
+    across 0 when d is even. abs_err estimates the rounding of F at the
+    roots: a fixed multiple of eps times the summed sizes of both parts at
+    every root. Where the eigenproblem collapses (roots that do not increase
+    strictly inside (-1, 1), at huge n) or P or the sums overflow, the value
+    is not finite.
     """
     n, d = space.n, space.d
     if n < 3 or d < 1:
         raise DomainError(f"need n >= 3 and d >= 1, got n={n}, d={d}")
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
-    try:
-        x = jacobi_roots(JacobiParams(*spec.jacobi(n), d))
-    except ConvergenceError:  # P overflows in the recurrence, so no Newton step is finite
+    alpha, beta = spec.jacobi(n)
+    x = _eigen_roots(alpha, beta, d)
+    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(x[1:] > x[:-1])):
         return ComputationResult(math.nan, math.inf, "ExactArchSum")
+    # K has the parity of d when every degree has it (harmonic, homogeneous):
+    # its roots are symmetric, and only those in [0, 1] are summed, 0 first at
+    # odd d. Not a == b, which polyleq's float parameters meet from n ~ 2^54 on
+    symmetric = all((d - k) % 2 == 0 for k in degrees)
+    if symmetric:
+        x = x[d // 2:]
     lam = (n - 2) / 2.0
     mu = lam + 1.0
 
-    coef = np.zeros(d)
-    ks = np.array([k for k in degrees if k], dtype=float)
-    coef[ks.astype(int) - 1] = (ks + lam) / (ks * (ks + 2.0 * lam))
-    # b_j = coef_j + A_j x b_{j+1} - B_{j+1} b_{j+2} for the recurrence
-    # C_{j+1} = A_j x C_j - B_j C_{j-1}, A_j = 2(j+mu)/(j+1), B_j = (j+2mu-1)/(j+1)
+    coef = [0.0] * d
+    for k in degrees:
+        if k:
+            coef[k - 1] = (k + lam) / (k * (k + 2.0 * lam))
+    c_n = axial_constant(n)
     # at huge n the sums overflow; projection_constant reports the value that
     # is not finite as a ToleranceError, so numpy's warnings would be noise
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    c_n = axial_constant(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(d - 1, -1, -1):
-            b1, b2 = coef[j] + (2.0 * (j + mu) / (j + 1)) * x * b1 - ((j + 2.0 * mu) / (j + 2)) * b2, b1
-
+        series = _gegenbauer_series(x, coef, mu)
         # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error
-        oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * b1
+        oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * series
         if 0 in degrees:
             from scipy.special import betainc  # only this branch needs scipy
 
@@ -226,17 +248,55 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
         else:
             incomplete = np.zeros_like(x)
             top = 0.0
-        f = np.concatenate(([0.0], incomplete - oscillating, [top]))
+        f = incomplete - oscillating
+        osc_size = np.abs(oscillating)
+        inc_size = np.abs(incomplete)
+        if symmetric:
+            arches = (2.0 * np.abs(np.diff(f, append=top))).tolist()
+            if d % 2 == 0:
+                arches.append(abs(2.0 * f[0] - top))
+            # sizes at the mirror images too: |osc(-x)| = |osc(x)| and
+            # I(-x) = top - I(x); at odd d, 0 is its own image and I = top = 0
+            osc_size *= 2.0
+            if d % 2:
+                osc_size[0] *= 0.5
+            inc_size += np.abs(top - incomplete)
+        else:
+            arches = np.abs(np.diff(f, prepend=0.0, append=top)).tolist()
         try:
-            value = math.fsum(np.abs(np.diff(f)).tolist())
+            value = math.fsum(arches)
         except OverflowError:  # finite arches whose sum exceeds the float range
             value = math.inf
-        sizes = float(np.sum(np.abs(oscillating) + np.abs(incomplete)))
+        sizes = float(np.sum(osc_size + inc_size))
     return ComputationResult(
         value=value,
         abs_err=_ARCH_SUM_ROUNDING * math.ulp(1.0) * sizes,
         method="ExactArchSum",
     )
+
+
+def _gegenbauer_series(x: np.ndarray, coef: list[float], mu: float) -> np.ndarray:
+    """sum_j coef[j] C_j^{(mu)}(x) by Clenshaw's recurrence, vectorized over x.
+
+    b_j = coef_j + A_j x b_{j+1} - B_{j+1} b_{j+2} for the recurrence
+    C_{j+1} = A_j x C_j - B_j C_{j-1}, A_j = 2(j+mu)/(j+1) and
+    B_j = (j+2mu-1)/(j+1); the sum is b_0. Three buffers rotate, so no step
+    allocates, and each step rounds as coef_j + (A_j x) b_{j+1} - B_{j+1} b_{j+2}
+    would.
+    """
+    a = [2.0 * (j + mu) / (j + 1) for j in range(len(coef))]
+    b_next = [(j + 2.0 * mu) / (j + 2) for j in range(len(coef))]  # B_{j+1}
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    scratch = np.empty_like(x)
+    for j in range(len(coef) - 1, -1, -1):
+        np.multiply(x, a[j], out=scratch)
+        scratch *= b1
+        scratch += coef[j]
+        b2 *= b_next[j]
+        scratch -= b2
+        b1, b2, scratch = scratch, b1, b2
+    return b1
 
 
 def _exact_sum(chunks) -> float:

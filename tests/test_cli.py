@@ -137,7 +137,7 @@ def test_complex_homogeneous_overflow_exit_3(capsys):
 
 
 def test_polyleq_jacobi_overflow_exit_3(capsys):
-    # P_1000^{(749.5,748.5)} overflows in the recurrence, so no root can be polished
+    # P_1000^{(749.5,748.5)} overflows in the recurrence, so the arch sum is not finite
     argv = ("--family", "polyleq", "--n", "1500", "--tol", "1e300")
     code, out, err = run_cli(capsys, "compute", *argv, "--d", "1000")
     assert code == 3
@@ -148,8 +148,9 @@ def test_polyleq_jacobi_overflow_exit_3(capsys):
     assert out.strip().splitlines()[1].endswith(",nan,inf,ToleranceFailure")
 
 
-# from n = 1e17 the eigenvalue nearest -1 rounds to -1, where P' is infinite
-_HUGE_N = [(n, d) for n in (10**17, 10**21) for d in (2, 3, 4)]
+# from n = 1e17 the eigenvalues round onto each other or onto -1, so the roots
+# collapse; summed over anyway, harmonic d = 10 would print 1.4e71 with exit 0
+_HUGE_N = [(n, d) for n in (10**17, 10**21) for d in (2, 3, 4, 5, 8, 10, 12)]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
@@ -393,6 +394,22 @@ def test_limits_defaults(capsys):
         assert (code, out) == (3, "")
         assert err == (f"tolerance not met: {family} limit constant underflows double "
                        f"precision at n={n}, normalization=d_power\n")
+
+
+# math.lgamma overflows here; dim_sqrt's true value is about 0.101, so no
+# message may call it an underflow
+@pytest.mark.parametrize("family,normalization", [
+    ("harmonic", "d_power"), ("homogeneous", "d_power"), ("polyleq", "d_power"),
+    ("harmonic", "dim_sqrt"),
+])
+def test_limits_log_gamma_overflow_exit_3(capsys, family, normalization):
+    n = 10**307
+    code, out, err = run_cli(
+        capsys, "limits", "--family", family, "--n", str(n), "--normalization", normalization
+    )
+    assert (code, out) == (3, "")
+    assert err == (f"tolerance not met: {family} limit constant cannot be evaluated at n={n}, "
+                   f"normalization={normalization}: its log-gamma form overflows double precision\n")
 
 
 def test_limits_invalid_combination_exit_2(capsys):

@@ -1,24 +1,34 @@
+import json
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from scipy.special import betainc
 
 from projconst.constants import lambda_homogeneous, lambda_poly_leq
 from projconst.errors import DomainError
-from projconst.orthopoly import JacobiParams
+from projconst.geometry import FAMILY_TABLE, Family, SpaceId, axial_constant
+from projconst.orthopoly import JacobiParams, jacobi_roots
 from projconst.quadrature import (
+    _ARCH_SUM_ROUNDING,
     _CHUNK,
     _exact_sum,
+    _gegenbauer_series,
     dirichlet_lebesgue,
     gauss_jacobi_rule,
     integrate_abs_jacobi,
+    integrate_abs_kernel,
     weight_mass,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_rule_order_one_plain():
@@ -338,3 +348,81 @@ def test_abs_integral_positive_and_bounded(d):
     # Legendre polynomials are bounded by 1 on [-1, 1]
     res = integrate_abs_jacobi(JacobiParams(0.0, 0.0, d), 0.0)
     assert 0.0 < res.value <= 2.0
+
+
+def test_arch_sum_within_abs_err_of_every_reference():
+    # every n >= 3 lambda of the benchmark's 30-digit references (n <= 50,
+    # d <= 1600), the n = 50 cells that miss the default tolerance included
+    lambdas = json.loads(REFERENCE.read_text())["lambda"]
+    checked = 0
+    for key, ref in lambdas.items():
+        family, *rest = key.split("/")
+        if family not in {f.value for f in Family} or len(rest) != 2:
+            continue
+        n, d = int(rest[0]), int(rest[1])
+        if n < 3 or d < 1:
+            continue
+        res = integrate_abs_kernel(SpaceId(Family(family), n, d))
+        assert abs(Fraction(res.value) - Fraction(ref)) <= Fraction(res.abs_err), key
+        checked += 1
+    assert checked == 816
+
+
+def _allocating_series(x, coef, mu):
+    """sum_j coef[j] C_j^{(mu)}(x) with one new array per operation, as the
+    arch sum's Clenshaw pass ran before it worked in place."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for j in range(len(coef) - 1, -1, -1):
+        b1, b2 = coef[j] + (2.0 * (j + mu) / (j + 1)) * x * b1 - ((j + 2.0 * mu) / (j + 2)) * b2, b1
+    return b1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    coef=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_series_is_bit_identical(n, coef, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 33)
+    mu = n / 2.0
+    assert np.array_equal(_gegenbauer_series(x, coef, mu), _allocating_series(x, coef, mu))
+
+
+def _full_arch_sum(space: SpaceId) -> tuple[float, float]:
+    """lambda and its abs_err as integrate_abs_kernel summed them before the
+    half-root sum: every Newton-polished root of jacobi_roots and the
+    allocating Clenshaw pass."""
+    n, d = space.n, space.d
+    spec = FAMILY_TABLE[space.family]
+    degrees = spec.degrees(d)
+    x = jacobi_roots(JacobiParams(*spec.jacobi(n), d))
+    lam = (n - 2) / 2.0
+    coef = np.zeros(d)
+    ks = np.array([k for k in degrees if k], dtype=float)
+    coef[ks.astype(int) - 1] = (ks + lam) / (ks * (ks + 2.0 * lam))
+    series = _allocating_series(x, coef, lam + 1.0)
+    oscillating = 2.0 * axial_constant(n) * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * series
+    if 0 in degrees:
+        incomplete, top = betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + x)), 1.0
+    else:
+        incomplete, top = np.zeros_like(x), 0.0
+    f = np.concatenate(([0.0], incomplete - oscillating, [top]))
+    sizes = float(np.sum(np.abs(oscillating) + np.abs(incomplete)))
+    return math.fsum(np.abs(np.diff(f)).tolist()), _ARCH_SUM_ROUNDING * math.ulp(1.0) * sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([Family.HARMONIC, Family.HOMOGENEOUS]),
+    n=st.integers(3, 60),
+    d=st.one_of(st.integers(1, 12), st.integers(1, 200)),
+)
+def test_half_root_sum_matches_full_root_sum(family, n, d):
+    space = SpaceId(family, n, d)
+    res = integrate_abs_kernel(space)
+    value, abs_err = _full_arch_sum(space)
+    assert abs(res.value - value) <= res.abs_err
+    # abs_err still counts the sizes at every root, not only at those summed
+    assert res.abs_err == pytest.approx(abs_err, rel=1e-9)

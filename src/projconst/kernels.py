@@ -5,20 +5,35 @@ profiles (ground truth at small degree) and a collapsed single-Jacobi closed
 form (O(d) per point, stable at large degree). The collapse holds at every
 n >= 2: at n = 2 the family table's parameters a, b = +-1/2 make the Jacobi
 polynomial a multiple of the Chebyshev or Dirichlet kernel.
+
+Both forms also come as rows, one per degree d <= d_max of a family, from a
+single pass (`kernel_sum_rows`, `kernel_closed_rows`). The sum rows evaluate
+every profile once, in blocks that share their Horner steps, and extend one
+Kahan chain per start of the degree range instead of restarting it for each
+d; the closed rows take every P_d from one recurrence pass. Row d is
+bit-identical to the single-space call at degree d, signed zeros included.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-from .geometry import FAMILY_TABLE, SpaceId, axial_constant, harmonic_dim, kernel_scale
-from .orthopoly import _axial_profile, _clamp, _jacobi_recurrence
+from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, harmonic_dim, kernel_scale
+from .orthopoly import _axial_profile_blocks, _clamp, _jacobi_recurrence, jacobi_rows
 from .quadrature import gauss_jacobi_rule
 from .result import ComputationResult
 
-__all__ = ["kernel_axial_sum", "kernel_axial_closed", "kernel_l2_norm"]
+__all__ = [
+    "kernel_axial_sum",
+    "kernel_axial_closed",
+    "kernel_sum_rows",
+    "kernel_closed_rows",
+    "kernel_l2_norm",
+]
 
 # abs_err of kernel_l2_norm, in units of eps times order^2 times the value.
 # Against sqrt(dim) over the three families, n = 2..11, 20, 50 and d up to
@@ -30,21 +45,56 @@ __all__ = ["kernel_axial_sum", "kernel_axial_closed", "kernel_l2_norm"]
 _L2_ROUNDING = 8.0
 
 
-def kernel_axial_sum(space: SpaceId, t):
-    """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form."""
-    arr = _clamp(t)
-    t_sq = arr * arr
-    one_minus = 1.0 - t_sq
-    total = np.zeros_like(arr)
-    comp = np.zeros_like(arr)
-    for j in FAMILY_TABLE[space.family].degrees(space.d):
-        term = harmonic_dim(space.n, j) * _axial_profile(space.n, j, arr, t_sq, one_minus)
+def _running_sums(family: Family, n: int, degrees: range, t: np.ndarray) -> Iterator[np.ndarray]:
+    """Sum form of the kernel of each ascending degree k at a clamped 1-D t.
+
+    The space of degree k spans the harmonics of FAMILY_TABLE[family].degrees(k):
+    k and every smaller degree whose range starts where k's does. So one Kahan
+    chain per range start (one for polyleq, one per parity for homogeneous, a
+    fresh one per degree for harmonic) adds dim_k profile_k in the order and
+    with the operations of a sum over degrees(k) alone.
+    """
+    family_degrees = FAMILY_TABLE[family].degrees
+    zero = np.zeros_like(t)
+    chains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    profiles = itertools.chain.from_iterable(_axial_profile_blocks(n, degrees, t))
+    for k, profile in zip(degrees, profiles):
+        term = harmonic_dim(n, k) * profile
+        chain = family_degrees(k).start
+        total, comp = chains.get(chain, (zero, zero))
         # Kahan step, vectorized
         y = term - comp
         s = total + y
-        comp = (s - total) - y
-        total = s
-    return float(total) if np.ndim(t) == 0 else total
+        chains[chain] = s, (s - total) - y
+        yield s
+
+
+def kernel_axial_sum(space: SpaceId, t):
+    """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form."""
+    arr = _clamp(t)
+    for total in _running_sums(
+        space.family, space.n, FAMILY_TABLE[space.family].degrees(space.d), arr.reshape(-1)
+    ):
+        pass
+    return float(total[0]) if np.ndim(t) == 0 else total.reshape(arr.shape)
+
+
+def kernel_sum_rows(family: Family, n: int, d_max: int, t) -> np.ndarray:
+    """kernel_axial_sum for every d <= d_max as the rows of one array, bit-identical."""
+    arr = _clamp(t)
+    out = np.empty((d_max + 1, arr.size))
+    for d, total in enumerate(_running_sums(family, n, range(d_max + 1), arr.reshape(-1))):
+        out[d] = total
+    return out.reshape((d_max + 1,) + arr.shape)
+
+
+def kernel_closed_rows(family: Family, n: int, d_max: int, t) -> np.ndarray:
+    """kernel_axial_closed for every d <= d_max as the rows of one array, bit-identical."""
+    a, b = FAMILY_TABLE[family].jacobi(n)
+    out = jacobi_rows(a, b, d_max, t)
+    for d in range(d_max + 1):
+        out[d] *= kernel_scale(SpaceId(family, n, d))
+    return out
 
 
 def kernel_axial_closed(space: SpaceId, t):

@@ -169,6 +169,20 @@ def kernel_bruteforce(space: SpaceId, t, basis: GramBasis | None = None):
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """g with each row divided by its Euclidean norm, in place.
+
+    The squared norms are summed column by column, in coordinate order. Below
+    8 columns that is numpy's own order, so the rows match dividing by
+    np.linalg.norm(g, axis=1) bit for bit, at less than half its cost.
+    """
+    sq = g[:, 0] * g[:, 0]
+    for j in range(1, g.shape[1]):
+        sq += g[:, j] * g[:, j]
+    g /= np.sqrt(sq)[:, None]
+    return g
+
+
 def montecarlo_sphere(
     n: int, f, samples: int, seed: int = 20240
 ) -> tuple[float, float]:
@@ -186,8 +200,7 @@ def montecarlo_sphere(
     done = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        g = rng.standard_normal((m, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = _unit_rows(rng.standard_normal((m, n)))
         vals = np.asarray(f(g), dtype=float)
         total += float(vals.sum())
         total_sq += float(np.square(vals).sum())

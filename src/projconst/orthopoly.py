@@ -4,7 +4,11 @@ Jacobi polynomials are evaluated by the three-term recurrence in the degree
 (stable, O(d) per point) with the normalization P_d^{(a,b)}(1) = binom(d+a, d).
 The degree-d axially invariant harmonic profile in n variables is generated
 from its coefficient ratio recurrence, which avoids the catastrophic
-cancellation of the closed gamma-quotient form.
+cancellation of the closed gamma-quotient form. Profiles of many degrees are
+evaluated in blocks of rows that share their Horner steps
+(`_axial_profile_blocks`, which `legendre_nd_eval` uses with one row), and
+`jacobi_rows` gives P_d for every d <= d_max from one recurrence pass; row d
+of either is bit-identical to the single-degree call.
 
 Roots come from the eigenvalues of the symmetric tridiagonal recurrence
 matrix. For a = b the quadratic transformation to a Jacobi polynomial of
@@ -20,9 +24,11 @@ never load scipy.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +40,8 @@ __all__ = [
     "jacobi_symmetry_check",
     "legendre_nd_coeffs",
     "legendre_nd_eval",
+    "legendre_nd_rows",
+    "jacobi_rows",
     "jacobi_roots",
 ]
 
@@ -46,6 +54,12 @@ _CLAMP_SLACK = 1e-12
 # rows and 37 against 44 us at 32, but 75 against 57 us at 40 and 191
 # against 135 us at 64; it also spares a small problem the scipy import.
 _DENSE_EIGEN_MAX = 32
+
+# degrees per block of _axial_profile_blocks: a block holds block x (d/2 + 1)
+# coefficients and block x points values, so memory stays bounded at large d,
+# and it takes fewer rows when points x rows would pass _PROFILE_VALUES
+_PROFILE_BLOCK = 64
+_PROFILE_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -73,22 +87,33 @@ def _clamp(t):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _jacobi_recurrence_pair(
-    alpha: float, beta: float, degree: int, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P_d, P_{d-1}) by the three-term recurrence in the degree, vectorized over t."""
-    if degree == 0:
-        return np.ones_like(t), np.zeros_like(t)
-    p_prev = np.ones_like(t)
-    p = 0.5 * (alpha + beta + 2.0) * t + 0.5 * (alpha - beta)
+def _jacobi_recurrence_steps(
+    alpha: float, beta: float, t: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(P_k, P_{k-1}) for k = 0, 1, 2, ... by the three-term recurrence in the degree.
+
+    Vectorized over t. Every single-degree and every all-degree evaluation of
+    P takes its values from this one generator.
+    """
+    p_prev, p = np.zeros_like(t), np.ones_like(t)
+    yield p, p_prev
+    p_prev, p = p, 0.5 * (alpha + beta + 2.0) * t + 0.5 * (alpha - beta)
+    yield p, p_prev
     ab = alpha + beta
-    for k in range(2, degree + 1):
+    for k in itertools.count(2):
         c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
         c2 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)
         c3 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
         p, p_prev = ((c2 + c3 * t) * p - c4 * p_prev) / c1, p
-    return p, p_prev
+        yield p, p_prev
+
+
+def _jacobi_recurrence_pair(
+    alpha: float, beta: float, degree: int, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P_d, P_{d-1}) by the three-term recurrence in the degree, vectorized over t."""
+    return next(itertools.islice(_jacobi_recurrence_steps(alpha, beta, t), degree, None))
 
 
 def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
@@ -116,6 +141,18 @@ def jacobi_eval(params: JacobiParams, t):
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def jacobi_rows(alpha: float, beta: float, d_max: int, t) -> np.ndarray:
+    """P_d^{(a,b)}(t) for every d <= d_max as the rows of one array, from one recurrence pass.
+
+    Row d is bit-identical to jacobi_eval at degree d.
+    """
+    arr = _clamp(t)
+    out = np.empty((d_max + 1,) + arr.shape)
+    for d, (p, _) in zip(range(d_max + 1), _jacobi_recurrence_steps(alpha, beta, arr)):
+        out[d] = p
+    return out
+
+
 def jacobi_symmetry_check(params: JacobiParams, t: float) -> float:
     """Residual of the reflection identity P_d^{(a,b)}(t) = (-1)^d P_d^{(b,a)}(-t)."""
     mirrored = JacobiParams(params.beta, params.alpha, params.degree)
@@ -123,7 +160,6 @@ def jacobi_symmetry_check(params: JacobiParams, t: float) -> float:
     return jacobi_eval(params, t) - sign * jacobi_eval(mirrored, -t)
 
 
-@lru_cache(maxsize=4096)
 def legendre_nd_coeffs(n: int, d: int) -> tuple[float, ...]:
     """Coefficients b_0..b_{floor(d/2)} of the degree-d axial harmonic in R^n.
 
@@ -144,27 +180,54 @@ def legendre_nd_coeffs(n: int, d: int) -> tuple[float, ...]:
 def legendre_nd_eval(n: int, d: int, t):
     """Axial profile: sum_j b_j t^(d-2j) (1-t^2)^j; equals 1 at t = 1."""
     arr = _clamp(t)
-    t_sq = arr * arr
-    out = _axial_profile(n, d, arr, t_sq, 1.0 - t_sq)
+    out = next(_axial_profile_blocks(n, [d], arr.reshape(-1)))[0].reshape(arr.shape)
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _axial_profile(
-    n: int, d: int, t: np.ndarray, t_sq: np.ndarray, one_minus: np.ndarray
-) -> np.ndarray:
-    """legendre_nd_eval on a clamped array, given t^2 and 1 - t^2.
+def legendre_nd_rows(n: int, d_max: int, t) -> np.ndarray:
+    """legendre_nd_eval for every d <= d_max as the rows of one array, bit-identical."""
+    arr = _clamp(t)
+    rows = np.concatenate(list(_axial_profile_blocks(n, range(d_max + 1), arr.reshape(-1))))
+    return rows.reshape((d_max + 1,) + arr.shape)
 
-    Homogeneous Horner in (t^2, 1-t^2): acc <- acc t^2 + b_j (1-t^2)^j with a
-    running power of 1-t^2, then one factor t when d is odd.
+
+def _axial_profile_blocks(n: int, degrees, t: np.ndarray) -> Iterator[np.ndarray]:
+    """Axial profiles of ascending degrees at a clamped 1-D t, in blocks of rows.
+
+    Each block holds the next (at most) _PROFILE_BLOCK degrees, one row each,
+    and at most _PROFILE_VALUES values unless a single row is larger.
+    Every row runs the homogeneous Horner scheme in (t^2, 1-t^2) of its own
+    degree, acc <- acc t^2 + b_j (1-t^2)^j with a running power of 1-t^2, then
+    one factor t when the degree is odd, so it is bit-identical to evaluating
+    that degree alone. The running power is shared, and since the degrees
+    ascend, the rows still taking steps at step j (floor(k/2) >= j) are a
+    suffix of the block: one slice operation serves them all.
     """
-    coeffs = legendre_nd_coeffs(n, d)
-    acc = np.full_like(t, coeffs[0])
+    block = max(1, min(_PROFILE_BLOCK, _PROFILE_VALUES // max(t.size, 1)))
+    t_sq = t * t
+    one_minus = 1.0 - t_sq
+    for start in range(0, len(degrees), block):
+        yield _axial_profile_block(n, degrees[start : start + block], t, t_sq, one_minus)
+
+
+def _axial_profile_block(
+    n: int, degrees, t: np.ndarray, t_sq: np.ndarray, one_minus: np.ndarray
+) -> np.ndarray:
+    """One block of _axial_profile_blocks, given t^2 and 1 - t^2."""
+    halves = [k // 2 for k in degrees]
+    coeffs = np.zeros((len(degrees), halves[-1] + 1))
+    for row, k in enumerate(degrees):
+        c = legendre_nd_coeffs(n, k)
+        coeffs[row, : len(c)] = c
+    acc = np.ones((len(degrees), t.size))
     power = np.ones_like(t)
-    for b in coeffs[1:]:
+    for j in range(1, halves[-1] + 1):
+        first = bisect_left(halves, j)
         power *= one_minus
-        acc *= t_sq
-        acc += b * power
-    return acc * t if d % 2 else acc
+        acc[first:] *= t_sq
+        acc[first:] += coeffs[first:, j, None] * power
+    acc[[row for row, k in enumerate(degrees) if k % 2]] *= t
+    return acc
 
 
 def _recurrence_tridiagonal(alpha: float, beta: float, degree: int):

@@ -23,16 +23,16 @@ from .constants import (
 )
 from .gammafn import beta, duplication_residual, gamma_ratio
 from .geometry import Family, SpaceId, axial_constant, dim_space, monomial_moment
-from .kernels import kernel_axial_closed, kernel_axial_sum, kernel_l2_norm
+from .kernels import kernel_axial_sum, kernel_closed_rows, kernel_l2_norm, kernel_sum_rows
 from .oracle import gram_basis, kernel_bruteforce, montecarlo_sphere
 from .orthopoly import (
     JacobiParams,
     _recurrence_eigenvalues,
-    jacobi_eval,
     jacobi_roots,
+    jacobi_rows,
     jacobi_symmetry_check,
     legendre_nd_coeffs,
-    legendre_nd_eval,
+    legendre_nd_rows,
 )
 from .quadrature import dirichlet_lebesgue, gauss_jacobi_rule, integrate_abs_jacobi, weight_mass
 
@@ -81,15 +81,16 @@ def _check_orthopoly(seed: int, quick: bool) -> list[dict]:
     d_max = 12 if quick else 25
     ts = rng.uniform(-1, 1, 40 if quick else 200)
     for n in range(3, n_max + 1):
+        a = (n - 3) / 2.0
+        direct = legendre_nd_rows(n, d_max, ts)
+        jacobi = jacobi_rows(a, a, d_max, ts)
         for d in range(0, d_max + 1):
             scale = math.exp(
                 math.lgamma(d + 1.0)
                 + math.lgamma((n - 1) / 2.0)
                 - math.lgamma((n - 1) / 2.0 + d)
             )
-            direct = legendre_nd_eval(n, d, ts)
-            via_jacobi = scale * jacobi_eval(JacobiParams((n - 3) / 2.0, (n - 3) / 2.0, d), ts)
-            err = float(np.max(np.abs(direct - via_jacobi)))
+            err = float(np.max(np.abs(direct[d] - scale * jacobi[d])))
             if err > 1e-10:
                 failures.append(_fail(f"orthopoly.jacobi_rescale[{n},{d}]", 0.0, err, 1e-10))
     # harmonicity of the coefficient list
@@ -149,15 +150,16 @@ def _check_quadrature(seed: int, quick: bool) -> list[dict]:
 def _check_geometry(seed: int, quick: bool) -> list[dict]:
     failures = []
     for n in range(2, 8 if quick else 13):
+        acc = 0  # running sum of the harmonic dimensions of degree <= d
         for d in range(0, 20 if quick else 61):
             hom = dim_space(SpaceId(Family.HOMOGENEOUS, n, d))
             harm = dim_space(SpaceId(Family.HARMONIC, n, d))
+            acc += harm
             if d >= 2:
                 lower = dim_space(SpaceId(Family.HOMOGENEOUS, n, d - 2))
                 if hom != harm + lower:
                     failures.append(_fail(f"geometry.split[{n},{d}]", hom, harm + lower, 0))
             leq = dim_space(SpaceId(Family.POLY_LEQ, n, d))
-            acc = sum(dim_space(SpaceId(Family.HARMONIC, n, k)) for k in range(d + 1))
             if leq != acc:
                 failures.append(_fail(f"geometry.leq_sum[{n},{d}]", leq, acc, 0))
     for n in range(2, 11):
@@ -183,17 +185,19 @@ def _check_kernels(seed: int, quick: bool) -> list[dict]:
     ts = rng.uniform(-1, 1, 100 if quick else 1000)
     for family in Family:
         for n in range(2, n_max + 1):
+            # row d of each is the single-space kernel at degree d, bit for bit
+            diag_sum = kernel_sum_rows(family, n, d_max, 1.0)
+            diag_closed = kernel_closed_rows(family, n, d_max, 1.0)
+            if n >= 3:
+                sums = kernel_sum_rows(family, n, d_max, ts)
+                closed = kernel_closed_rows(family, n, d_max, ts)
             for d in range(0, d_max + 1):
-                space = SpaceId(family, n, d)
-                dim = dim_space(space)
-                for form, k1 in (("sum", kernel_axial_sum(space, 1.0)),
-                                 ("closed", kernel_axial_closed(space, 1.0))):
+                dim = dim_space(SpaceId(family, n, d))
+                for form, k1 in (("sum", float(diag_sum[d])), ("closed", float(diag_closed[d]))):
                     if abs(k1 - dim) > 1e-10 * dim:
                         failures.append(_fail(f"kernels.diag[{family.value},{n},{d},{form}]", dim, k1, 1e-10))
                 if n >= 3:
-                    diff = float(np.max(np.abs(
-                        kernel_axial_sum(space, ts) - kernel_axial_closed(space, ts)
-                    )))
+                    diff = float(np.max(np.abs(sums[d] - closed[d])))
                     if diff > 1e-9 * dim:
                         failures.append(_fail(f"kernels.sum_closed[{family.value},{n},{d}]", 0.0, diff, 1e-9 * dim))
     for family in Family:

@@ -24,6 +24,7 @@ from projconst.constants import (
     lambda_homogeneous,
     lambda_poly_leq,
 )
+from projconst.errors import ToleranceError
 
 
 HUGE = str(10**400)
@@ -212,6 +213,19 @@ def test_compute_half_integer_offset_at_large_n(capsys, family, d, exact_ratio, 
         exact = exact_ratio(mp.mpf(_N_LARGE))
     # the rounding of one log-gamma difference at the largest argument
     assert abs(value - exact) <= 8 * sys.float_info.epsilon * math.lgamma(largest) * exact
+
+
+# integrate_abs_kernel's abs_err understates its error at huge n; these reach
+# 9.7e-5, 1.2e16 and 2.1e11 in tol's units, so the default tol must refuse them
+# loudly until that estimate is fixed, never print them with exit 0
+@pytest.mark.parametrize("n,d", [(10**8, 4), (10**10, 8), (10**14, 5)])
+def test_huge_n_harmonic_misses_default_tol_exit_3(capsys, n, d):
+    with pytest.raises(ToleranceError):
+        lambda_harmonic(n, d)
+    code, out, err = run_cli(capsys, "compute", "--family", "harmonic", "--n", str(n), "--d", str(d))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("tolerance not met: Jacobi-normalized arch sum reached") and err.count("\n") == 1
 
 
 def test_kernel_overflow_exit_3(capsys):

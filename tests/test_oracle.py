@@ -175,3 +175,14 @@ def test_montecarlo_matches_axial_reduction():
         3, lambda x: np.abs(kernel_axial_closed(space, x[:, 0])), 400_000
     )
     assert abs(mean - lambda_harmonic(3, 2).value) < 4 * err
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_montecarlo_points_match_norm_division(n):
+    # the column-by-column squared norm is numpy's own order below 8 columns,
+    # so the points are bit-identical to dividing by np.linalg.norm
+    seen = []
+    montecarlo_sphere(n, lambda x: seen.append(x.copy()) or np.ones(x.shape[0]), 20_000, seed=31)
+    g = np.random.default_rng(31).standard_normal((20_000, n))
+    expected = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert np.array_equal(seen[0], expected)

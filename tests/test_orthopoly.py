@@ -15,9 +15,11 @@ from projconst.orthopoly import (
     _recurrence_tridiagonal,
     jacobi_eval,
     jacobi_roots,
+    jacobi_rows,
     jacobi_symmetry_check,
     legendre_nd_coeffs,
     legendre_nd_eval,
+    legendre_nd_rows,
 )
 
 GRID = np.linspace(-1.0, 1.0, 201)
@@ -242,3 +244,20 @@ def test_one_pass_derivative_matches_jacobi_deriv(alpha, beta_):
         _, deriv = _jacobi_value_deriv(alpha, beta_, d, roots)
         expect = factor * jacobi_eval(shifted, roots)
         assert np.all(np.abs(deriv - expect) <= 1e-12 * np.abs(expect)), d
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 1.0, -0.4, GRID])
+def test_rows_bit_identical_to_single_degree(t):
+    # one recurrence pass (jacobi_rows) and one batched Horner pass
+    # (legendre_nd_rows) give each degree's values exactly as its own call
+    for a, b in ((0.0, 0.0), (0.5, -0.5), (1.5, 0.5), (2.5, 2.5), (-0.5, -0.5)):
+        rows = jacobi_rows(a, b, 40, t)
+        assert rows.shape == (41,) + np.shape(t)
+        for d in range(41):
+            single = jacobi_eval(JacobiParams(a, b, d), t)
+            assert np.array_equal(np.asarray(rows[d]).view(np.uint64), np.asarray(single).view(np.uint64))
+    for n in range(2, 9):
+        rows = legendre_nd_rows(n, 70, t)
+        for d in range(71):
+            single = legendre_nd_eval(n, d, t)
+            assert np.array_equal(np.asarray(rows[d]).view(np.uint64), np.asarray(single).view(np.uint64))

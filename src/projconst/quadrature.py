@@ -21,8 +21,10 @@ summed exactly in integer limbs, then rounded once: O(d) time and O(2^16)
 memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
-`betainc` for a kernel whose degree set holds 0 (polyleq, and homogeneous at
-even d), and scipy.linalg by any eigensolve of more than 32 rows.
+scipy.linalg by any eigensolve of more than 32 rows, and `betainc` for the
+axial distribution function (`_axial_cdf`) of a kernel whose degree set holds
+0 (polyleq, and homogeneous at even d) above n = 100 only; up to there a
+closed form on numpy serves it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,25 @@ _FEJER_ROUNDING = 8.0
 
 # Fejer terms per chunk of dirichlet_lebesgue: the memory of a sum at any d
 _CHUNK = 2**16
+
+# largest n whose axial distribution function comes from _axial_cdf's closed
+# form, which takes (n - 3)/2 vector steps; above it scipy's betainc is
+# imported. Warm, on a shared 2-vCPU Xeon (best of five loops of 300 calls,
+# two sessions), the closed form takes 6-12 / 30-32 / 56-67 / 148-150 /
+# 477-653 us on 8 points at n = 3 / 50 / 100 / 300 / 1000, where betainc
+# takes 2-5 us at every n; on 1600 points it takes 13-22 / 52-89 / 86-150 /
+# 220-225 / 684-726 us against 23-35 / 471-747 / 263-368 / 271-283 /
+# 264-307 us. Up to n = 100 a lambda pays at most about 60 us more for it,
+# and less on many points, while a cold command is spared the scipy.special
+# import, about 0.2 s.
+_CLOSED_CDF_MAX_N = 100
+
+# largest d of integrate_abs_kernel: its Clenshaw pass costs O(d^2) time
+# (polyleq n = 3 takes 4.6 s at d = 2^14 on a 2-vCPU Xeon, so about 5 hours
+# at 2^20) and about 130 bytes per degree (traced peak, polyleq n = 3).
+# Beyond it the arch sum refuses before it builds an array, as
+# dirichlet_lebesgue does past 2^53 arches
+_ARCH_SUM_MAX_D = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,10 +216,10 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     F(t) = [0 in degrees] I(t)
            - 2 c_n (1-t^2)^(gamma+1) sum_{k in degrees, k >= 1}
              (k+lam)/(k(k+2lam)) C_{k-1}^{(lam+1)}(t),
-    with I(t) = c_n Int_{-1}^t (1-s^2)^gamma ds, a regularized incomplete
-    beta. K keeps its sign between consecutive breakpoints -1, roots, 1, so
-    the integral is the sum of |F(x_{j+1}) - F(x_j)|; the series is summed by
-    one in-place Clenshaw pass over the roots, O(d^2) in all.
+    with I(t) = c_n Int_{-1}^t (1-s^2)^gamma ds (`_axial_cdf`). K keeps its
+    sign between consecutive breakpoints -1, roots, 1, so the integral is the
+    sum of |F(x_{j+1}) - F(x_j)|; the series is summed by one in-place
+    Clenshaw pass over the roots, O(d^2) in all.
 
     The roots are the recurrence matrix's eigenvalues without a Newton step
     (orthopoly._eigen_roots): F' = c_n K w vanishes at each root, so a root
@@ -209,11 +230,13 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     roots: a fixed multiple of eps times the summed sizes of both parts at
     every root. Where the eigenproblem collapses (roots that do not increase
     strictly inside (-1, 1), at huge n) or P or the sums overflow, the value
-    is not finite.
+    is not finite. d may not exceed 2^20 (_ARCH_SUM_MAX_D, DomainError).
     """
     n, d = space.n, space.d
     if n < 3 or d < 1:
         raise DomainError(f"need n >= 3 and d >= 1, got n={n}, d={d}")
+    if d > _ARCH_SUM_MAX_D:
+        raise DomainError(f"need d <= 2**20 for n >= 3, got d={d}")
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
     alpha, beta = spec.jacobi(n)
@@ -241,9 +264,7 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
         # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error
         oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * series
         if 0 in degrees:
-            from scipy.special import betainc  # only this branch needs scipy
-
-            incomplete = betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + x))
+            incomplete = _axial_cdf(n, x)
             top = 1.0  # I(1): the weight's total mass times c_n
         else:
             incomplete = np.zeros_like(x)
@@ -273,6 +294,46 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
         abs_err=_ARCH_SUM_ROUNDING * math.ulp(1.0) * sizes,
         method="ExactArchSum",
     )
+
+
+def _axial_cdf(n: int, x: np.ndarray) -> np.ndarray:
+    """c_n Int_{-1}^x (1-s^2)^gamma ds, gamma = (n-3)/2, vectorized over x in [-1, 1].
+
+    The distribution function of one coordinate of a uniform point on
+    S^{n-1}, the regularized incomplete beta I_{(1+x)/2}(gamma+1, gamma+1).
+    It is 1/2 + R(x) with R odd, and the reduction (2g+1) Int_0^t (1-s^2)^g
+    = t (1-t^2)^g + 2g Int_0^t (1-s^2)^(g-1) gives, with u = (1-t)(1+t),
+    R(t) = R_0(t) + t sum_j e_j u^j over j = j_0, j_0 + 1, ..., gamma, where
+    e_j = Gamma(j+1/2) / (2 sqrt(pi) Gamma(j+1)) = e_{j-1} (j-1/2)/j. For
+    integer gamma, R_0 = t/2 and j_0 = 1 (e_1 = 1/4); for half-integer gamma,
+    R_0 = arcsin(t)/pi and j_0 = 1/2 (e_{1/2} = 1/pi). Every e_j is positive
+    and u is in [0, 1], so Horner's scheme in u is stable: against 40-digit
+    mpmath the error stays within 5 eps up to n = 1000. It takes (n-3)/2
+    vector steps, so above n = _CLOSED_CDF_MAX_N scipy's betainc serves.
+    """
+    lam = (n - 2) / 2.0
+    if n > _CLOSED_CDF_MAX_N:
+        from scipy.special import betainc  # only large n needs scipy
+
+        return betainc(lam + 0.5, lam + 0.5, 0.5 * (1.0 + x))
+    half_integer = n % 2 == 0
+    j, e = (0.5, 1.0 / math.pi) if half_integer else (1.0, 0.25)
+    coef = []
+    while j <= lam - 0.5:
+        coef.append(e)
+        j += 1.0
+        e *= (j - 0.5) / j
+    t = np.abs(x)
+    u = (1.0 - t) * (1.0 + t)
+    h = np.zeros_like(t)
+    for e_j in reversed(coef):
+        h *= u
+        h += e_j
+    if half_integer:
+        r = np.arcsin(t) / math.pi + t * np.sqrt(u) * h
+    else:
+        r = 0.5 * t + t * u * h
+    return 0.5 + np.copysign(r, x)
 
 
 def _gegenbauer_series(x: np.ndarray, coef: list[float], mu: float) -> np.ndarray:

@@ -175,6 +175,18 @@ def test_n2_beyond_exact_arch_count_exit_2(capsys, family, d):
     assert err.startswith("error: need at most 2**53 arches") and err.count("\n") == 1
 
 
+# from n = 3 on the arch sum refuses d past 2**20 before it builds an array;
+# at 10**308 numpy used to raise "Maximum allowed dimension exceeded", exit 1
+@pytest.mark.parametrize("family", SPHERE_FAMILIES)
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("d", [2**20 + 1, 10**308], ids=["2**20+1", "10**308"])
+def test_arch_sum_beyond_degree_ceiling_exit_2(capsys, family, n, d):
+    code, out, err = run_cli(capsys, "compute", "--family", family, "--n", str(n), "--d", str(d))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need d <= 2**20 for n >= 3, got d={d}\n"
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 @pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
 # at (939, 1139) only the arch sum overflows
@@ -613,8 +625,9 @@ def test_cli_exit_code_is_0_2_or_3(argv):
     assert code in (0, 2, 3), argv
 
 
-# commands whose every eigenproblem has at most 32 rows and which need no
-# incomplete beta; scipy must stay unloaded while they run
+# commands whose every eigenproblem has at most 32 rows and whose incomplete
+# beta, if any, is at n <= 100, where numpy serves it; scipy must stay
+# unloaded while they run
 _COLD_ARGVS = [
     ["compute", "--family", "harmonic", "--n", "3", "--d", "64"],
     ["compute", "--family", "homogeneous", "--n", "3", "--d", "7"],
@@ -624,6 +637,10 @@ _COLD_ARGVS = [
     ["limits", "--family", "harmonic", "--n", "3"],
     ["kernel", "--family", "harmonic", "--n", "3", "--d", "6", "--samples", "101"],
     ["table", "--family", "harmonic", "--n", "3", "--d-max", "20"],
+    ["compute", "--family", "polyleq", "--n", "3", "--d", "5"],
+    ["compute", "--family", "homogeneous", "--n", "4", "--d", "6"],
+    ["table", "--family", "polyleq", "--n", "5", "--d-max", "20"],
+    ["converge", "--family", "homogeneous", "--n", "4", "--d-values", "8,16,32,64"],
 ]
 
 _COLD_PROCESS = """
@@ -638,13 +655,27 @@ print(json.dumps(loaded))
 """
 
 
-def test_small_commands_do_not_import_scipy():
+def _run_cold(argvs):
+    """(exit code, scipy modules loaded so far) after each argv, in one fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_PROCESS, json.dumps(_COLD_ARGVS)],
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROCESS, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    for argv, (code, scipy_modules) in zip(_COLD_ARGVS, json.loads(proc.stdout)):
+    return json.loads(proc.stdout)
+
+
+def test_small_commands_do_not_import_scipy():
+    for argv, (code, scipy_modules) in zip(_COLD_ARGVS, _run_cold(_COLD_ARGVS)):
         assert code == 0, argv
         assert scipy_modules == [], argv
+
+
+def test_verify_quick_imports_scipy_linalg_only():
+    # its eigenproblems above 32 rows need scipy.linalg; its incomplete betas,
+    # all at n <= 100, need no scipy.special
+    [(code, scipy_modules)] = _run_cold([["verify", "--quick"]])
+    assert code == 0
+    assert "scipy.linalg" in scipy_modules
+    assert "scipy.special" not in scipy_modules

@@ -19,6 +19,8 @@ from projconst.orthopoly import JacobiParams, jacobi_roots
 from projconst.quadrature import (
     _ARCH_SUM_ROUNDING,
     _CHUNK,
+    _CLOSED_CDF_MAX_N,
+    _axial_cdf,
     _exact_sum,
     _gegenbauer_series,
     dirichlet_lebesgue,
@@ -426,3 +428,38 @@ def test_half_root_sum_matches_full_root_sum(family, n, d):
     assert abs(res.value - value) <= res.abs_err
     # abs_err still counts the sizes at every root, not only at those summed
     assert res.abs_err == pytest.approx(abs_err, rel=1e-9)
+
+
+# t = 0 and near it, mid-range, and within 1e-6 of +-1, up to the last float below 1
+_CDF_POINTS = np.array([0.0, 1e-300, 1e-9, 0.25, 0.5, 0.7, 1 - 1e-6, 1 - 1e-12, 1 - 2**-53])
+_CDF_POINTS = np.concatenate((_CDF_POINTS, -_CDF_POINTS[1:]))
+
+
+@pytest.mark.parametrize("n", range(3, _CLOSED_CDF_MAX_N + 1))
+def test_axial_cdf_closed_form_against_mpmath(n):
+    with mp.workdps(40):
+        a = mp.mpf(n - 1) / 2
+        ref = [mp.betainc(a, a, 0, (1 + mp.mpf(float(x))) / 2, regularized=True) for x in _CDF_POINTS]
+        err = max(abs(mp.mpf(float(v)) - r) for v, r in zip(_axial_cdf(n, _CDF_POINTS), ref))
+    assert err <= 2 * math.ulp(1.0), n
+
+
+def test_axial_cdf_above_cutoff_is_betainc():
+    n = _CLOSED_CDF_MAX_N + 1
+    a = (n - 1) / 2
+    assert np.array_equal(_axial_cdf(n, _CDF_POINTS), betainc(a, a, 0.5 * (1.0 + _CDF_POINTS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([Family.POLY_LEQ, Family.HOMOGENEOUS]),
+    n=st.integers(3, _CLOSED_CDF_MAX_N),
+    d=st.integers(1, 60),
+)
+def test_closed_form_cdf_lambda_matches_betainc_arch_sum(family, n, d):
+    if family is Family.HOMOGENEOUS:
+        d += d % 2  # the degree set holds 0 at even d only
+    space = SpaceId(family, n, d)
+    res = integrate_abs_kernel(space)
+    value, _ = _full_arch_sum(space)
+    assert abs(res.value - value) <= res.abs_err

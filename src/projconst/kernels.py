@@ -22,6 +22,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import DomainError
 from .geometry import FAMILY_TABLE, Family, SpaceId, axial_constant, harmonic_dim, kernel_scale
 from .orthopoly import _axial_profile_blocks, _clamp, _jacobi_recurrence, jacobi_rows
 from .quadrature import gauss_jacobi_rule
@@ -43,6 +44,14 @@ __all__ = [
 # d >= 40 below 0.07 (at most 1.6e-11 relative, at n = 2, d = 1280); 8 keeps
 # a margin at the small orders.
 _L2_ROUNDING = 8.0
+
+# largest d of kernel_axial_sum and kernel_axial_closed, the same ceiling as
+# lambda's arch sum (quadrature._ARCH_SUM_MAX_D). The sum form costs O(d^2)
+# per point (polyleq n = 3 at 3 points takes 11 s at d = 2048 and 49 s at
+# 4096 on a 2-vCPU Xeon, so weeks at 2^20) and holds up to 64 (d/2 + 1)
+# profile coefficients at a time, about 270 MB at 2^20. Beyond it both forms
+# refuse before they build an array
+_SAMPLE_MAX_D = 2**20
 
 
 def _running_sums(family: Family, n: int, degrees: range, t: np.ndarray) -> Iterator[np.ndarray]:
@@ -69,8 +78,17 @@ def _running_sums(family: Family, n: int, degrees: range, t: np.ndarray) -> Iter
         yield s
 
 
+def _require_sample_degree(space: SpaceId) -> None:
+    if space.d > _SAMPLE_MAX_D:
+        raise DomainError(f"need d <= 2**20 for kernel samples, got d={space.d}")
+
+
 def kernel_axial_sum(space: SpaceId, t):
-    """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form."""
+    """Kernel at (e1, y) as a function of t = <y, e1>, in the defining sum form.
+
+    d may not exceed 2^20 (_SAMPLE_MAX_D, DomainError).
+    """
+    _require_sample_degree(space)
     arr = _clamp(t)
     for total in _running_sums(
         space.family, space.n, FAMILY_TABLE[space.family].degrees(space.d), arr.reshape(-1)
@@ -103,8 +121,10 @@ def kernel_axial_closed(space: SpaceId, t):
     (a, b) comes from the family table at every n >= 2. At n = 2 it is
     (+-1/2, +-1/2), and with t = cos(theta) the kernel is 2 cos(d theta)
     (1 at d = 0), sin((d+1) theta)/sin(theta) or the Dirichlet kernel
-    sin((d+1/2) theta)/sin(theta/2).
+    sin((d+1/2) theta)/sin(theta/2). d may not exceed 2^20 (_SAMPLE_MAX_D,
+    DomainError).
     """
+    _require_sample_degree(space)
     a, b = FAMILY_TABLE[space.family].jacobi(space.n)
     out = kernel_scale(space) * _jacobi_recurrence(a, b, space.d, _clamp(t))
     return float(out) if np.ndim(t) == 0 else out

@@ -10,25 +10,35 @@ evaluated in blocks of rows that share their Horner steps
 `jacobi_rows` gives P_d for every d <= d_max from one recurrence pass; row d
 of either is bit-identical to the single-degree call.
 
+The recurrence precomputes its coefficients and steps in three rotating
+buffers, so no step allocates.
+
 Roots come from the eigenvalues of the symmetric tridiagonal recurrence
 matrix. For a = b the quadratic transformation to a Jacobi polynomial of
-half the degree halves the eigenproblem (`_unfold_half_roots`). The
-eigenvalues alone (`_eigen_roots`) serve the arch sum of lambda, whose
-antiderivative is stationary at every root, so a root error e costs it
-O(e^2); `jacobi_roots`, which Gauss rules and `verify` use, adds one Newton
-step each, with P_d and P'_d from a single recurrence pass (P'_d follows
-from P_d and P_{d-1}). Eigenproblems of up to 32 rows are solved dense by
-numpy; only larger ones import scipy's tridiagonal solver, so small roots
-never load scipy.
+half the degree halves the eigenproblem (`_unfold_half_roots`).
+`jacobi_roots`, which Gauss rules and `verify` use, adds one Newton step to
+each eigenvalue, with P_d and P'_d from a single recurrence pass (P'_d
+follows from P_d and P_{d-1}). The arch sum of lambda, whose antiderivative
+is stationary at every root, so that a root error e costs it O(e^2), takes
+its roots from `_kernel_roots`: below _NEWTON_MIN_ROWS = 700 rows, the
+measured crossover, they are the eigenvalues alone (`_eigen_roots`); from
+there on they are asymptotic guesses (Gatteschi-Pittaluga in the interior,
+Gatteschi's Bessel-type expansion at both ends, with the Bessel zeros from
+Ikebe's small eigenproblem) refined by two Newton passes, O(d) per root per
+pass (Hale & Townsend 2013), kept only if they are finite, increase strictly
+inside (-1, 1) and every last step is within 1e-6 of the local spacing, and
+otherwise the eigenvalues again. Eigenproblems of up to 32 rows are solved
+dense by numpy; only larger ones import scipy's tridiagonal solver, so small
+roots, and the Newton route, never load scipy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +64,18 @@ _CLAMP_SLACK = 1e-12
 # rows and 37 against 44 us at 32, but 75 against 57 us at 40 and 191
 # against 135 us at 64; it also spares a small problem the scipy import.
 _DENSE_EIGEN_MAX = 32
+
+# smallest eigenproblem whose roots _kernel_roots takes from asymptotic
+# guesses and two Newton passes instead of the eigensolve. Warm, on a shared
+# 2-vCPU Xeon with one BLAS thread (medians of 9 interleaved calls, four
+# (a, b) pairs, three processes), the Newton route takes 3.0 / 3.7 / 4.9 /
+# 6.0 / 7.1 / 9.5 / 18.2 ms at 400 / 500 / 600 / 700 / 800 / 1000 / 1600 rows
+# against 2.9 / 4.3 / 6.0 / 8.2 / 10.6 / 16.4 / 41.5 ms for the eigensolve;
+# but the host often runs this interpreter-bound loop at about half speed
+# (12 ms at 800 rows, against an unchanged 11 ms for the eigensolve), and
+# then the crossover moves to about 800 rows. 700 wins by about 1.35x in the
+# fast state and loses at most about 20% in the slow one
+_NEWTON_MIN_ROWS = 700
 
 # degrees per block of _axial_profile_blocks: a block holds block x (d/2 + 1)
 # coefficients and block x points values, so memory stays bounded at large d,
@@ -88,24 +110,40 @@ def _clamp(t):
 
 
 def _jacobi_recurrence_steps(
-    alpha: float, beta: float, t: np.ndarray
+    alpha: float, beta: float, top: int, t: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(P_k, P_{k-1}) for k = 0, 1, 2, ... by the three-term recurrence in the degree.
+    """(P_k, P_{k-1}) for k = 0, 1, ..., top by the three-term recurrence in the degree.
 
     Vectorized over t. Every single-degree and every all-degree evaluation of
-    P takes its values from this one generator.
+    P takes its values from this one generator. The coefficients c1..c4 of
+    every step are computed up front, and three buffers rotate, so no step
+    allocates: a yielded pair stays valid only until the next step, which
+    overwrites the older array. Each step rounds as
+    ((c2 + c3 t) P_{k-1} - c4 P_{k-2}) / c1 would.
     """
     p_prev, p = np.zeros_like(t), np.ones_like(t)
     yield p, p_prev
-    p_prev, p = p, 0.5 * (alpha + beta + 2.0) * t + 0.5 * (alpha - beta)
+    if top < 1:
+        return
+    scratch = np.empty_like(t)
+    np.multiply(t, 0.5 * (alpha + beta + 2.0), out=scratch)
+    scratch += 0.5 * (alpha - beta)
+    p_prev, p, scratch = p, scratch, p_prev
     yield p, p_prev
     ab = alpha + beta
-    for k in itertools.count(2):
-        c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
-        c2 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
-        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)
-        p, p_prev = ((c2 + c3 * t) * p - c4 * p_prev) / c1, p
+    k = np.arange(2, top + 1, dtype=float)
+    c1 = (2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)).tolist()
+    c2 = ((2.0 * k + ab - 1.0) * (alpha * alpha - beta * beta)).tolist()
+    c3 = ((2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)).tolist()
+    c4 = (2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + ab)).tolist()
+    for c1_k, c2_k, c3_k, c4_k in zip(c1, c2, c3, c4):
+        np.multiply(t, c3_k, out=scratch)
+        scratch += c2_k
+        scratch *= p
+        p_prev *= c4_k
+        scratch -= p_prev
+        scratch /= c1_k
+        p_prev, p, scratch = p, scratch, p_prev
         yield p, p_prev
 
 
@@ -113,7 +151,9 @@ def _jacobi_recurrence_pair(
     alpha: float, beta: float, degree: int, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(P_d, P_{d-1}) by the three-term recurrence in the degree, vectorized over t."""
-    return next(itertools.islice(_jacobi_recurrence_steps(alpha, beta, t), degree, None))
+    for pair in _jacobi_recurrence_steps(alpha, beta, degree, t):
+        pass
+    return pair
 
 
 def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
@@ -148,7 +188,7 @@ def jacobi_rows(alpha: float, beta: float, d_max: int, t) -> np.ndarray:
     """
     arr = _clamp(t)
     out = np.empty((d_max + 1,) + arr.shape)
-    for d, (p, _) in zip(range(d_max + 1), _jacobi_recurrence_steps(alpha, beta, arr)):
+    for d, (p, _) in zip(range(d_max + 1), _jacobi_recurrence_steps(alpha, beta, d_max, arr)):
         out[d] = p
     return out
 
@@ -323,6 +363,98 @@ def _eigen_roots(alpha: float, beta: float, degree: int) -> np.ndarray:
             1.0 + _recurrence_eigenvalues(alpha, 0.5 if degree % 2 else -0.5, degree // 2), degree
         )
     return _recurrence_eigenvalues(alpha, beta, degree)
+
+
+def _kernel_roots(alpha: float, beta: float, degree: int) -> np.ndarray:
+    """Roots of P_d^{(a,b)}, as accurate as _eigen_roots, for the arch sum of lambda, d >= 1.
+
+    Where the eigenproblem _eigen_roots would solve (floor(d/2) rows for
+    a = b, d rows otherwise) has at least _NEWTON_MIN_ROWS rows, and its
+    edge roots are few against its size (20 + 4 max(a, b) <= rows/4), the
+    roots of the same polynomial come from asymptotic guesses
+    (`_root_guesses`) and two vectorized Newton passes, O(rows^2) in all,
+    as in Hale & Townsend (2013). They are kept only if they are finite,
+    increase strictly inside (-1, 1), and every last step is at most 1e-6 of
+    the local spacing sqrt(1-x^2)/rows; otherwise, and for smaller or
+    edge-heavy problems, the eigenvalues serve.
+    """
+    half = alpha == beta and degree >= 2
+    b, rows = ((0.5 if degree % 2 else -0.5), degree // 2) if half else (beta, degree)
+    if rows < _NEWTON_MIN_ROWS or 20 + 4 * max(alpha, b) > rows / 4:
+        return _eigen_roots(alpha, beta, degree)
+    y = _root_guesses(alpha, b, rows)
+    # a guess that went astray shows as a value that is not finite, and NaN
+    # fails every test below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(2):
+            value, deriv = _jacobi_value_deriv(alpha, b, rows, y)
+            step = value / deriv
+            prev, y = y, y - step
+        settled = (
+            y[0] > -1.0
+            and y[-1] < 1.0
+            and np.all(y[1:] > y[:-1])
+            and np.all(np.abs(step) <= 1e-6 * np.sqrt((1.0 - y) * (1.0 + y)) / rows)
+        )
+    if not settled:
+        return _eigen_roots(alpha, beta, degree)
+    # (1 + y) - step for the half problem, as in jacobi_roots
+    return _unfold_half_roots((1.0 + prev) - step, degree) if half else y
+
+
+def _root_guesses(alpha: float, beta: float, degree: int) -> np.ndarray:
+    """Asymptotic approximations to the roots of P_d^{(a,b)}, increasing, d >= 1.
+
+    Interior roots: Gatteschi and Pittaluga's x_k = cos(theta_k), with
+    rho = d + (a+b+1)/2, phi_k = (k + a/2 - 1/4) pi / rho and
+    theta_k = phi_k + [(1/4 - a^2) cot(phi_k/2) - (1/4 - b^2) tan(phi_k/2)] / (4 rho^2),
+    k = 1 nearest +1 (Gatteschi & Pittaluga 1985). The 20 + ceil(4a) roots
+    nearest +1 take Gatteschi's Bessel-type form instead, theta_k = (j_{a,k}/nu)
+    [1 - (4 - a^2 - 15 b^2)(j_{a,k}^2/2 + a^2 - 1) / (720 nu^4)] with
+    nu = sqrt(rho^2 + (1 - a^2 - 3 b^2)/12) and j_{a,k} the zeros of J_a
+    (`_bessel_zeros`), and the 20 + ceil(4b) nearest -1 the same with a and b
+    swapped, mirrored (both as collected by Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652). The caller keeps both edge counts within d/4.
+    """
+    rho = degree + 0.5 * (alpha + beta + 1.0)
+    phi = (np.arange(degree, 0, -1) + 0.5 * alpha - 0.25) * (math.pi / rho)
+    theta = phi + ((0.25 - alpha * alpha) / np.tan(0.5 * phi)
+                   - (0.25 - beta * beta) * np.tan(0.5 * phi)) / (4.0 * rho * rho)
+    x = np.cos(theta)
+    for a, b, sign in ((alpha, beta, 1.0), (beta, alpha, -1.0)):
+        count = 20 + math.ceil(4 * a)
+        j = _bessel_zeros(a, count)
+        nu = math.sqrt(rho * rho + (1.0 - a * a - 3.0 * b * b) / 12.0)
+        correction = (4.0 - a * a - 15.0 * b * b) * (0.5 * j * j + a * a - 1.0) / (720.0 * nu**4)
+        edge = sign * np.cos((j / nu) * (1.0 - correction))
+        if sign > 0:
+            x[degree - count:] = edge[::-1]
+        else:
+            x[:count] = edge
+    return x
+
+
+@lru_cache(maxsize=16)
+def _bessel_zeros(a: float, count: int) -> np.ndarray:
+    """The first `count` positive zeros j_{a,1} < j_{a,2} < ... of J_a, a > -1, read-only.
+
+    1/j_{a,k}^2 are the largest eigenvalues of the infinite symmetric
+    tridiagonal matrix with diagonal 1/(2(a+2i-1)(a+2i+1)) and off-diagonal
+    1/(4(a+2i+1) sqrt((a+2i)(a+2i+2))), i = 1, 2, ... (Ikebe, Kikuchi and
+    Fujishiro 1991, after Ikebe 1975). Its leading 2 count + 30 rows give
+    them to within 2e-15 relative against mpmath for a from -1/2 to 24.5 and
+    count <= 40, and within 2.3e-15 at count = 20 + ceil(4a) for a = 24.5,
+    49.5 and 74.5 (every seventh zero checked). Dense numpy, so no scipy
+    import; cached, since lambda asks for the same few a again and again.
+    """
+    i = np.arange(1.0, 2 * count + 31)
+    diag = 1.0 / (2.0 * (a + 2.0 * i - 1.0) * (a + 2.0 * i + 1.0))
+    i = i[:-1]
+    off = 1.0 / (4.0 * (a + 2.0 * i + 1.0) * np.sqrt((a + 2.0 * i) * (a + 2.0 * i + 2.0)))
+    eig = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    j = 1.0 / np.sqrt(eig[: -count - 1 : -1])
+    j.setflags(write=False)
+    return j
 
 
 def _unfold_half_roots(one_plus_y: np.ndarray, degree: int) -> np.ndarray:

@@ -4,14 +4,19 @@ The central operation integrates |P(t)| (1-t^2)^gamma for a Jacobi polynomial
 P. The absolute value has kinks exactly at the roots of P, so the interval is
 split there. For the axial kernels of the projection constants every arch has
 a closed antiderivative, and `integrate_abs_kernel` sums its differences at
-the roots exactly. Those roots are the recurrence matrix's eigenvalues with
-no Newton step, since the antiderivative is stationary at each root; for the
-symmetric kernels (harmonic, homogeneous) only the roots in [0, 1] are
-summed, and a root set that collapses at huge n is reported as a value that
-is not finite. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]: their
-nodes come from `jacobi_roots`, Newton-polished, and their weights are the
-Christoffel numbers of the same recurrence. `integrate_abs_jacobi` is the
-general route for any (a, b, gamma): each smooth arch is integrated to
+the roots exactly. The antiderivative is stationary at each root, so the
+roots need no polish: `orthopoly._kernel_roots` gives the recurrence
+matrix's eigenvalues as they are up to 699 rows, and from 700 rows on
+(`_NEWTON_MIN_ROWS`, the measured crossover) asymptotic guesses refined by
+two Newton passes, kept only if they are finite, increase strictly inside
+(-1, 1) and took last steps within 1e-6 of the local spacing, else the
+eigenvalues again. For the symmetric kernels (harmonic, homogeneous) only
+the roots in [0, 1] are summed, and a root set that collapses at huge n is
+reported as a value that is not finite. Gauss rules (`gauss_jacobi_rule`)
+live on [-1, 1]: their nodes come from `jacobi_roots`, Newton-polished, and
+their weights are the Christoffel numbers of the same recurrence.
+`integrate_abs_jacobi` is the general route for any (a, b, gamma): each
+smooth arch is integrated to
 spectral accuracy; the two end arches map the rule for (1+t)^gamma,
 mirrored at +1, so an endpoint singularity (gamma < 0) stays inside the
 rule, and interior arches fold the weight into the integrand under
@@ -21,7 +26,8 @@ summed exactly in integer limbs, then rounded once: O(d) time and O(2^16)
 memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
-scipy.linalg by any eigensolve of more than 32 rows, and `betainc` for the
+scipy.linalg by any eigensolve of more than 32 rows (for lambda: up to the
+Newton route's 700 rows, or where it falls back), and `betainc` for the
 axial distribution function (`_axial_cdf`) of a kernel whose degree set holds
 0 (polyleq, and homogeneous at even d) above n = 100 only; up to there a
 closed form on numpy serves it.
@@ -40,8 +46,8 @@ from .gammafn import beta as beta_fn
 from .geometry import FAMILY_TABLE, SpaceId, axial_constant
 from .orthopoly import (
     JacobiParams,
-    _eigen_roots,
     _jacobi_recurrence,
+    _kernel_roots,
     _recurrence_tridiagonal,
     jacobi_roots,
 )
@@ -221,10 +227,18 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     sum of |F(x_{j+1}) - F(x_j)|; the series is summed by one in-place
     Clenshaw pass over the roots, O(d^2) in all.
 
-    The roots are the recurrence matrix's eigenvalues without a Newton step
-    (orthopoly._eigen_roots): F' = c_n K w vanishes at each root, so a root
-    error e moves F only by O(e^2). For harmonic and homogeneous spaces K has
-    the parity of d and F(-t) = F(1) - F(t), so only the roots in [0, 1] are
+    F' = c_n K w vanishes at each root, so a root error e moves F only by
+    O(e^2), and the roots need no polish (orthopoly._kernel_roots). Below
+    700 rows of the root problem (d/2 rows for harmonic and homogeneous, d
+    for polyleq; orthopoly._NEWTON_MIN_ROWS, the measured crossover), and
+    wherever the edge roots are many (20 + 4 max(a, b) > rows/4, huge n),
+    they are the recurrence matrix's eigenvalues (orthopoly._eigen_roots).
+    From there on they are Gatteschi-Pittaluga guesses in the interior and
+    Gatteschi's Bessel-type guesses at both ends, refined by two vectorized
+    Newton passes (Hale & Townsend 2013); the eigenvalues serve instead
+    unless those roots are finite, increase strictly inside (-1, 1) and took
+    last steps within 1e-6 of the local spacing. For harmonic and homogeneous
+    spaces K has the parity of d and F(-t) = F(1) - F(t), so only the roots in [0, 1] are
     summed: twice the arches there, plus the middle arch |2F(x_1) - F(1)|
     across 0 when d is even. abs_err estimates the rounding of F at the
     roots: a fixed multiple of eps times the summed sizes of both parts at
@@ -240,7 +254,7 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
     alpha, beta = spec.jacobi(n)
-    x = _eigen_roots(alpha, beta, d)
+    x = _kernel_roots(alpha, beta, d)
     if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(x[1:] > x[:-1])):
         return ComputationResult(math.nan, math.inf, "ExactArchSum")
     # K has the parity of d when every degree has it (harmonic, homogeneous):

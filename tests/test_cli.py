@@ -187,6 +187,20 @@ def test_arch_sum_beyond_degree_ceiling_exit_2(capsys, family, n, d):
     assert err == f"error: need d <= 2**20 for n >= 3, got d={d}\n"
 
 
+# the kernel samples refuse d past the same ceiling; at 10**308 numpy used to
+# raise "Maximum allowed dimension exceeded" while building the profile
+# coefficients, exit 1
+@pytest.mark.parametrize("family", SPHERE_FAMILIES)
+@pytest.mark.parametrize("d", [2**20 + 1, 10**308], ids=["2**20+1", "10**308"])
+def test_kernel_beyond_degree_ceiling_exit_2(capsys, family, d):
+    code, out, err = run_cli(
+        capsys, "kernel", "--family", family, "--n", "3", "--d", str(d), "--samples", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need d <= 2**20 for kernel samples, got d={d}\n"
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second stderr line
 @pytest.mark.parametrize("family", ["harmonic", "homogeneous"])
 # at (939, 1139) only the arch sum overflows

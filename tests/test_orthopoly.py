@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.linalg import eigvalsh_tridiagonal
 
+from projconst import orthopoly
+from projconst.geometry import FAMILY_TABLE, Family
 from projconst.orthopoly import (
+    _NEWTON_MIN_ROWS,
     JacobiParams,
+    _bessel_zeros,
+    _eigen_roots,
+    _kernel_roots,
     _jacobi_value_deriv,
     _recurrence_eigenvalues,
     _recurrence_tridiagonal,
@@ -261,3 +267,107 @@ def test_rows_bit_identical_to_single_degree(t):
         for d in range(71):
             single = legendre_nd_eval(n, d, t)
             assert np.array_equal(np.asarray(rows[d]).view(np.uint64), np.asarray(single).view(np.uint64))
+
+
+def _allocating_rows(alpha, beta_, d_max, t):
+    """P_0..P_{d_max} with one new array per operation, as the recurrence ran
+    before it stepped in place."""
+    p_prev, p = np.zeros_like(t), np.ones_like(t)
+    rows = [p]
+    if d_max >= 1:
+        p_prev, p = p, 0.5 * (alpha + beta_ + 2.0) * t + 0.5 * (alpha - beta_)
+        rows.append(p)
+    ab = alpha + beta_
+    for k in range(2, d_max + 1):
+        c1 = 2.0 * k * (k + ab) * (2.0 * k + ab - 2.0)
+        c2 = (2.0 * k + ab - 1.0) * (alpha * alpha - beta_ * beta_)
+        c3 = (2.0 * k + ab - 1.0) * (2.0 * k + ab) * (2.0 * k + ab - 2.0)
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta_ - 1.0) * (2.0 * k + ab)
+        p, p_prev = ((c2 + c3 * t) * p - c4 * p_prev) / c1, p
+        rows.append(p)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha, beta_", [(0.0, 0.0), (0.5, -0.5), (1.0, 0.0), (9.5, 8.5), (24.5, 0.5), (-0.5, 3.0)])
+def test_in_place_recurrence_bit_identical_to_allocating(alpha, beta_):
+    # the coefficient lists from numpy and the rotating buffers round exactly
+    # as the per-degree Python floats and fresh arrays did
+    for d_max in (0, 1, 2, 300):
+        expect = _allocating_rows(alpha, beta_, d_max, GRID)
+        assert np.array_equal(jacobi_rows(alpha, beta_, d_max, GRID).view(np.uint64), expect.view(np.uint64))
+    single = jacobi_eval(JacobiParams(alpha, beta_, 300), 0.3)
+    assert single == _allocating_rows(alpha, beta_, 300, np.float64(0.3))[-1]
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.0, 2.5, 9.5, 24.5])
+def test_bessel_zeros_against_mpmath(a):
+    count = min(20 + math.ceil(4 * a), 40)
+    zeros = _bessel_zeros(a, count)
+    for k, z in enumerate(zeros, start=1):
+        # J_{-1/2}(x) is a multiple of cos(x)/sqrt(x)
+        ref = (k - 0.5) * math.pi if a == -0.5 else float(mp.besseljzero(a, k))
+        assert abs(z / ref - 1.0) <= 4e-15, (a, k)
+
+
+def _half_rows(alpha, beta_, rows):
+    """(a, b, d) of the polynomial whose eigenproblem has `rows` rows."""
+    return (alpha, beta_, 2 * rows) if alpha == beta_ else (alpha, beta_, rows)
+
+
+def _fail(*args):
+    raise AssertionError(f"fell back to the eigensolve at {args}")
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50])
+def test_kernel_roots_newton_route_accuracy(monkeypatch, family, n):
+    # every root within 1e-9 of the gap to its nearest neighbour of the
+    # polished roots; the route must not fall back
+    monkeypatch.setattr(orthopoly, "_eigen_roots", _fail)
+    for rows in (_NEWTON_MIN_ROWS, 800, 1600, 3000):
+        a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(n), rows)
+        roots = _kernel_roots(a, b, d)
+        ref = jacobi_roots(JacobiParams(a, b, d))
+        gap = np.diff(ref)
+        spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
+        assert np.max(np.abs(roots - ref) / spacing) <= 1e-9, rows
+
+
+def _bit_identical(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_kernel_roots_fallbacks_are_the_eigenvalues(monkeypatch, family):
+    # below the crossover the eigenproblem is solved as before
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(3), _NEWTON_MIN_ROWS - 1)
+    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+    # at huge n the edge roots are too many for the asymptotic guesses
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(10**6), 1600)
+    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+    # at n = 150 (a ~ 75) two Newton passes leave last steps of about 3e-6
+    # of the spacing, above the 1e-6 the route accepts
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(150), 1600)
+    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+
+
+def _shift_all(x):
+    # each guess onto its neighbour's, the last halfway to +1
+    return np.append(x[1:], 0.5 * (1.0 + x[-1]))
+
+
+def _duplicate_one(x):
+    # the middle guess onto its neighbour's: both settle on one root, every
+    # step is tiny, and only the strict increase fails
+    x = x.copy()
+    x[len(x) // 2] = x[len(x) // 2 + 1]
+    return x
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("perturb", [_shift_all, _duplicate_one])
+def test_kernel_roots_bad_guesses_fall_back(monkeypatch, family, perturb):
+    guesses = orthopoly._root_guesses
+    monkeypatch.setattr(orthopoly, "_root_guesses", lambda *args: perturb(guesses(*args)))
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(4), 1600)
+    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))

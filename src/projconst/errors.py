@@ -24,7 +24,12 @@ class ToleranceError(ProjconstError):
 
 
 class ConvergenceError(ProjconstError):
-    """Iterative root polishing failed to converge."""
+    """Roots could not be found in double precision.
+
+    Either a root set collapsed (roots that are not finite or do not increase
+    strictly inside (-1, 1), as at huge Jacobi parameters) or the Newton step
+    that polishes Gauss nodes failed to converge.
+    """
 
 
 class UnsupportedCombinationError(ProjconstError, ValueError):

@@ -13,23 +13,23 @@ of either is bit-identical to the single-degree call.
 The recurrence precomputes its coefficients and steps in three rotating
 buffers, so no step allocates.
 
-Roots come from the eigenvalues of the symmetric tridiagonal recurrence
-matrix. For a = b the quadratic transformation to a Jacobi polynomial of
-half the degree halves the eigenproblem (`_unfold_half_roots`).
-`jacobi_roots`, which Gauss rules and `verify` use, adds one Newton step to
-each eigenvalue, with P_d and P'_d from a single recurrence pass (P'_d
-follows from P_d and P_{d-1}). The arch sum of lambda, whose antiderivative
-is stationary at every root, so that a root error e costs it O(e^2), takes
-its roots from `_kernel_roots`: below _NEWTON_MIN_ROWS = 700 rows, the
-measured crossover, they are the eigenvalues alone (`_eigen_roots`); from
-there on they are asymptotic guesses (Gatteschi-Pittaluga in the interior,
+`jacobi_roots` is the one root finder; lambda's arch sum, Gauss rules and
+`verify` all take their roots from it. For a = b the quadratic
+transformation to a Jacobi polynomial of half the degree halves the
+problem. From _NEWTON_MIN_ROWS = 700 rows on, the measured crossover, the
+roots are asymptotic guesses (Gatteschi-Pittaluga in the interior,
 Gatteschi's Bessel-type expansion at both ends, with the Bessel zeros from
 Ikebe's small eigenproblem) refined by two Newton passes, O(d) per root per
-pass (Hale & Townsend 2013), kept only if they are finite, increase strictly
-inside (-1, 1) and every last step is within 1e-6 of the local spacing, and
-otherwise the eigenvalues again. Eigenproblems of up to 32 rows are solved
-dense by numpy; only larger ones import scipy's tridiagonal solver, so small
-roots, and the Newton route, never load scipy.
+pass (Hale & Townsend 2013), with P_d and P'_d from a single recurrence pass
+(P'_d follows from P_d and P_{d-1}); they are kept only if they are finite,
+increase strictly inside (-1, 1) and every last step is within 1e-4 of the
+local spacing (`_newton_roots`). Below 700 rows, and wherever they are not
+kept, the roots are the eigenvalues of the symmetric tridiagonal recurrence
+matrix. Neither is polished: lambda's antiderivative is stationary at every
+root, so a root error e costs it O(e^2), and `gauss_jacobi_rule`, which
+needs more, takes one Newton step itself. Eigenproblems of up to 32 rows are
+solved dense by numpy; only larger ones import scipy's tridiagonal solver,
+so small roots, and the Newton route, never load scipy.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ _CLAMP_SLACK = 1e-12
 # against 135 us at 64; it also spares a small problem the scipy import.
 _DENSE_EIGEN_MAX = 32
 
-# smallest eigenproblem whose roots _kernel_roots takes from asymptotic
-# guesses and two Newton passes instead of the eigensolve. Warm, on a shared
+# smallest root problem that jacobi_roots solves by asymptotic guesses and
+# two Newton passes instead of the eigensolve. Warm, on a shared
 # 2-vCPU Xeon with one BLAS thread (medians of 9 interleaved calls, four
 # (a, b) pairs, three processes), the Newton route takes 3.0 / 3.7 / 4.9 /
 # 6.0 / 7.1 / 9.5 / 18.2 ms at 400 / 500 / 600 / 700 / 800 / 1000 / 1600 rows
@@ -302,104 +302,76 @@ def _recurrence_eigenvalues(alpha: float, beta: float, degree: int) -> np.ndarra
     return eigvalsh_tridiagonal(diag, off)
 
 
-def _eigen_newton(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the recurrence matrix and the Newton step P/P' at each.
-
-    The roots of P_d^{(a,b)} are the eigenvalues minus the steps; a P' or a
-    step that is not finite, or a step beyond 1e-6, raises ConvergenceError.
-    An infinite P' (an eigenvalue rounded to +-1 at huge a, b) would make the
-    step 0 and pass silently.
-    """
-    nodes = _recurrence_eigenvalues(alpha, beta, degree)
-    # overflow, and an eigenvalue rounded to +-1, show as P' or a step not finite
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values, derivs = _jacobi_value_deriv(alpha, beta, degree, nodes)
-        step = values / derivs
-    bad = ~np.isfinite(derivs) | ~np.isfinite(step) | (np.abs(step) > 1e-6)
-    if np.any(bad):
-        raise ConvergenceError(
-            f"Newton polish of P_{degree}^({alpha},{beta}) diverged at root indices "
-            f"{np.nonzero(bad)[0].tolist()}"
-        )
-    return nodes, step
-
-
 def jacobi_roots(params: JacobiParams) -> np.ndarray:
     """All roots of P_d^{(a,b)}, strictly increasing, in (-1, 1), as a float64 array.
 
-    Eigenvalues of the symmetric tridiagonal recurrence matrix followed by one
-    Newton step per root, with P' from the same recurrence pass as P. For
-    a = b and d >= 2 the problem is halved by the quadratic transformation
+    For a = b and d >= 2 the problem is halved by the quadratic transformation
     (DLMF 18.7.13-14): P_{2m}^{(a,a)}(x) is a multiple of P_m^{(a,-1/2)}(2x^2-1)
     and P_{2m+1}^{(a,a)}(x) of x P_m^{(a,1/2)}(2x^2-1), so the roots are
     +-sqrt((1+y)/2) over the roots y of the degree-floor(d/2) polynomial, plus
-    0 for odd d; the eigensolve and the polish then cost a quarter as much.
+    0 for odd d, and they cost a quarter as much. The roots of the problem
+    left (floor(d/2) rows for a = b, else d) come from `_newton_roots` where
+    it settles, and otherwise are the eigenvalues of the symmetric
+    tridiagonal recurrence matrix. Nothing polishes them: each keeps an error of about 1e-15
+    absolute (at d = 1600), which a sum stationary at every root, such as
+    lambda's arch sum, feels only squared. Where the problem collapses (huge
+    a, b), roots that are not finite or do not increase strictly inside
+    (-1, 1) raise ConvergenceError.
     """
     a, b, d = params.alpha, params.beta, params.degree
     if d < 1:
         raise DomainError("jacobi_roots requires degree >= 1")
-    if a == b and d >= 2:
-        y, step = _eigen_newton(a, 0.5 if d % 2 else -0.5, d // 2)
+    half = a == b and d >= 2
+    b_rows, rows = ((0.5 if d % 2 else -0.5), d // 2) if half else (b, d)
+    y, step = _newton_roots(a, b_rows, rows) or (_recurrence_eigenvalues(a, b_rows, rows), 0.0)
+    if half:
         # (1 + y) - step, not 1 + (y - step): 1 + y is exact near y = -1, so
-        # the roots nearest 0 are spared the rounding of the polished y (about
-        # 1e-14 absolute at d = 1600). They still carry y's own error, about
-        # 1e-15 absolute (5400 ulp relative nearest 0 of P_1600)
-        return _unfold_half_roots((1.0 + y) - step, d)
-    nodes, step = _eigen_newton(a, b, d)
-    return np.clip(nodes - step, -1.0, 1.0)
-
-
-def _eigen_roots(alpha: float, beta: float, degree: int) -> np.ndarray:
-    """Roots of P_d^{(a,b)} as the recurrence matrix's eigenvalues, unpolished, d >= 1.
-
-    jacobi_roots without the Newton step, halved the same way for a = b, so
-    each root keeps the eigensolve's error (about 1e-15 absolute at d = 1600);
-    a caller whose result is stationary at a root needs no more. Where the
-    eigenproblem collapses (huge a, b) the roots may fail to increase
-    strictly or reach +-1; the caller checks.
-    """
-    if alpha == beta and degree >= 2:
-        return _unfold_half_roots(
-            1.0 + _recurrence_eigenvalues(alpha, 0.5 if degree % 2 else -0.5, degree // 2), degree
+        # the roots nearest 0 are spared the rounding of y - step
+        pos = np.sqrt(0.5 * np.clip((1.0 + y) - step, 0.0, 2.0))
+        x = np.concatenate((-pos[::-1], [0.0] if d % 2 else [], pos))
+    else:
+        x = y - step
+    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(x[1:] > x[:-1])):
+        raise ConvergenceError(
+            f"roots of P_{d}^({a},{b}) are not finite or do not increase strictly inside (-1, 1)"
         )
-    return _recurrence_eigenvalues(alpha, beta, degree)
+    return x
 
 
-def _kernel_roots(alpha: float, beta: float, degree: int) -> np.ndarray:
-    """Roots of P_d^{(a,b)}, as accurate as _eigen_roots, for the arch sum of lambda, d >= 1.
+def _newton_roots(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(y, s) with the roots of P_d^{(a,b)} at y - s, from two Newton passes, or None.
 
-    Where the eigenproblem _eigen_roots would solve (floor(d/2) rows for
-    a = b, d rows otherwise) has at least _NEWTON_MIN_ROWS rows, and its
-    edge roots are few against its size (20 + 4 max(a, b) <= rows/4), the
-    roots of the same polynomial come from asymptotic guesses
-    (`_root_guesses`) and two vectorized Newton passes, O(rows^2) in all,
-    as in Hale & Townsend (2013). They are kept only if they are finite,
-    increase strictly inside (-1, 1), and every last step is at most 1e-6 of
-    the local spacing sqrt(1-x^2)/rows; otherwise, and for smaller or
-    edge-heavy problems, the eigenvalues serve.
+    Only where the problem has at least _NEWTON_MIN_ROWS rows and its edge
+    roots are few against its size (20 + 4 max(a, b) <= d/4): asymptotic
+    guesses (`_root_guesses`) refined by two vectorized Newton passes, O(d^2)
+    in all, as in Hale & Townsend (2013); y is the iterate before the last
+    pass and s its step. They count only if they are finite, increase
+    strictly inside (-1, 1), and every last step is at most 1e-4 of the
+    local spacing sqrt(1-x^2)/d; otherwise, and for smaller or edge-heavy
+    problems, None. A last step s leaves a root error of about s^2/spacing,
+    so the bound keeps the roots within about 1e-8 of the spacing, which the
+    arch sum of lambda, stationary at every root, feels only squared. The
+    last steps grow roughly like a^2.5 and not with d: for lambda's (a, b)
+    they reach 5.7e-7 of the spacing at n = 80 (a ~ 40), 2.9e-6 at n = 150
+    and 1.5e-5 at n = 300.
     """
-    half = alpha == beta and degree >= 2
-    b, rows = ((0.5 if degree % 2 else -0.5), degree // 2) if half else (beta, degree)
-    if rows < _NEWTON_MIN_ROWS or 20 + 4 * max(alpha, b) > rows / 4:
-        return _eigen_roots(alpha, beta, degree)
-    y = _root_guesses(alpha, b, rows)
+    if degree < _NEWTON_MIN_ROWS or 20 + 4 * max(alpha, beta) > degree / 4:
+        return None
+    y = _root_guesses(alpha, beta, degree)
     # a guess that went astray shows as a value that is not finite, and NaN
     # fails every test below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(2):
-            value, deriv = _jacobi_value_deriv(alpha, b, rows, y)
+            value, deriv = _jacobi_value_deriv(alpha, beta, degree, y)
             step = value / deriv
             prev, y = y, y - step
         settled = (
             y[0] > -1.0
             and y[-1] < 1.0
             and np.all(y[1:] > y[:-1])
-            and np.all(np.abs(step) <= 1e-6 * np.sqrt((1.0 - y) * (1.0 + y)) / rows)
+            and np.all(np.abs(step) <= 1e-4 * np.sqrt((1.0 - y) * (1.0 + y)) / degree)
         )
-    if not settled:
-        return _eigen_roots(alpha, beta, degree)
-    # (1 + y) - step for the half problem, as in jacobi_roots
-    return _unfold_half_roots((1.0 + prev) - step, degree) if half else y
+    return (prev, step) if settled else None
 
 
 def _root_guesses(alpha: float, beta: float, degree: int) -> np.ndarray:
@@ -456,13 +428,3 @@ def _bessel_zeros(a: float, count: int) -> np.ndarray:
     j.setflags(write=False)
     return j
 
-
-def _unfold_half_roots(one_plus_y: np.ndarray, degree: int) -> np.ndarray:
-    """Roots of P_d^{(a,a)}, increasing, from 1 + y over the roots y of its half-degree problem.
-
-    By the quadratic transformation (DLMF 18.7.13-14) they are
-    +-sqrt((1+y)/2), plus 0 for odd d. 1 + y is passed in, not y, so that a
-    caller can form it exactly near y = -1, where the roots nearest 0 come from.
-    """
-    pos = np.sqrt(0.5 * np.clip(one_plus_y, 0.0, 2.0))
-    return np.concatenate((-pos[::-1], [0.0] if degree % 2 else [], pos))

@@ -5,15 +5,11 @@ P. The absolute value has kinks exactly at the roots of P, so the interval is
 split there. For the axial kernels of the projection constants every arch has
 a closed antiderivative, and `integrate_abs_kernel` sums its differences at
 the roots exactly. The antiderivative is stationary at each root, so the
-roots need no polish: `orthopoly._kernel_roots` gives the recurrence
-matrix's eigenvalues as they are up to 699 rows, and from 700 rows on
-(`_NEWTON_MIN_ROWS`, the measured crossover) asymptotic guesses refined by
-two Newton passes, kept only if they are finite, increase strictly inside
-(-1, 1) and took last steps within 1e-6 of the local spacing, else the
-eigenvalues again. For the symmetric kernels (harmonic, homogeneous) only
-the roots in [0, 1] are summed, and a root set that collapses at huge n is
-reported as a value that is not finite. Gauss rules (`gauss_jacobi_rule`)
-live on [-1, 1]: their nodes come from `jacobi_roots`, Newton-polished, and
+roots of `orthopoly.jacobi_roots` serve unpolished. For the symmetric
+kernels (harmonic, homogeneous) only the roots in [0, 1] are summed, and a
+root set that collapses at huge n (ConvergenceError) is reported as a value
+that is not finite. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]:
+their nodes are the roots of `jacobi_roots` with one Newton step each, and
 their weights are the Christoffel numbers of the same recurrence.
 `integrate_abs_jacobi` is the general route for any (a, b, gamma): each
 smooth arch is integrated to
@@ -26,8 +22,8 @@ summed exactly in integer limbs, then rounded once: O(d) time and O(2^16)
 memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
-scipy.linalg by any eigensolve of more than 32 rows (for lambda: up to the
-Newton route's 700 rows, or where it falls back), and `betainc` for the
+scipy.linalg by any eigensolve of more than 32 rows (below the Newton
+route's 700 rows, or where it falls back), and `betainc` for the
 axial distribution function (`_axial_cdf`) of a kernel whose degree set holds
 0 (polyleq, and homogeneous at even d) above n = 100 only; up to there a
 closed form on numpy serves it.
@@ -41,13 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .gammafn import beta as beta_fn
 from .geometry import FAMILY_TABLE, SpaceId, axial_constant
 from .orthopoly import (
     JacobiParams,
     _jacobi_recurrence,
-    _kernel_roots,
+    _jacobi_value_deriv,
     _recurrence_tridiagonal,
     jacobi_roots,
 )
@@ -132,6 +128,18 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     x = jacobi_roots(JacobiParams(alpha, beta, order))
+    # one Newton step per node; overflow, and a node rounded to +-1, show as
+    # a P' or a step that is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values, derivs = _jacobi_value_deriv(alpha, beta, order, x)
+        step = values / derivs
+    bad = ~np.isfinite(derivs) | ~np.isfinite(step) | (np.abs(step) > 1e-6)
+    if np.any(bad):
+        raise ConvergenceError(
+            f"Newton polish of P_{order}^({alpha},{beta}) diverged at root indices "
+            f"{np.nonzero(bad)[0].tolist()}"
+        )
+    x = np.clip(x - step, -1.0, 1.0)
     diag, off = _recurrence_tridiagonal(alpha, beta, order)
     b = np.concatenate(([0.0], off))
     # b_{j+1} p_{j+1} = (x - diag_j) p_j - b_j p_{j-1}, from p_0 = 1
@@ -228,23 +236,18 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     Clenshaw pass over the roots, O(d^2) in all.
 
     F' = c_n K w vanishes at each root, so a root error e moves F only by
-    O(e^2), and the roots need no polish (orthopoly._kernel_roots). Below
-    700 rows of the root problem (d/2 rows for harmonic and homogeneous, d
-    for polyleq; orthopoly._NEWTON_MIN_ROWS, the measured crossover), and
-    wherever the edge roots are many (20 + 4 max(a, b) > rows/4, huge n),
-    they are the recurrence matrix's eigenvalues (orthopoly._eigen_roots).
-    From there on they are Gatteschi-Pittaluga guesses in the interior and
-    Gatteschi's Bessel-type guesses at both ends, refined by two vectorized
-    Newton passes (Hale & Townsend 2013); the eigenvalues serve instead
-    unless those roots are finite, increase strictly inside (-1, 1) and took
-    last steps within 1e-6 of the local spacing. For harmonic and homogeneous
-    spaces K has the parity of d and F(-t) = F(1) - F(t), so only the roots in [0, 1] are
-    summed: twice the arches there, plus the middle arch |2F(x_1) - F(1)|
-    across 0 when d is even. abs_err estimates the rounding of F at the
-    roots: a fixed multiple of eps times the summed sizes of both parts at
-    every root. Where the eigenproblem collapses (roots that do not increase
-    strictly inside (-1, 1), at huge n) or P or the sums overflow, the value
-    is not finite. d may not exceed 2^20 (_ARCH_SUM_MAX_D, DomainError).
+    O(e^2), and the roots of orthopoly.jacobi_roots serve unpolished: the
+    recurrence matrix's eigenvalues below 700 rows of the root problem (d/2
+    rows for harmonic and homogeneous, d for polyleq), and from there on
+    asymptotic guesses refined by two Newton passes wherever they settle.
+    For harmonic and homogeneous spaces K has the parity of d and
+    F(-t) = F(1) - F(t), so only the roots in [0, 1] are summed: twice the
+    arches there, plus the middle arch |2F(x_1) - F(1)| across 0 when d is
+    even. abs_err estimates the rounding of F at the roots: a fixed multiple
+    of eps times the summed sizes of both parts at every root. Where the root
+    set collapses (jacobi_roots raises ConvergenceError, at huge n) or P or
+    the sums overflow, the value is not finite. d may not exceed 2^20
+    (_ARCH_SUM_MAX_D, DomainError).
     """
     n, d = space.n, space.d
     if n < 3 or d < 1:
@@ -254,8 +257,9 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
     alpha, beta = spec.jacobi(n)
-    x = _kernel_roots(alpha, beta, d)
-    if not (x[0] > -1.0 and x[-1] < 1.0 and np.all(x[1:] > x[:-1])):
+    try:
+        x = jacobi_roots(JacobiParams(alpha, beta, d))
+    except ConvergenceError:
         return ComputationResult(math.nan, math.inf, "ExactArchSum")
     # K has the parity of d when every degree has it (harmonic, homogeneous):
     # its roots are symmetric, and only those in [0, 1] are summed, 0 first at

@@ -9,13 +9,12 @@ from mpmath import mp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from projconst import orthopoly
+from projconst.errors import ConvergenceError
 from projconst.geometry import FAMILY_TABLE, Family
 from projconst.orthopoly import (
     _NEWTON_MIN_ROWS,
     JacobiParams,
     _bessel_zeros,
-    _eigen_roots,
-    _kernel_roots,
     _jacobi_value_deriv,
     _recurrence_eigenvalues,
     _recurrence_tridiagonal,
@@ -234,7 +233,7 @@ def test_jacobi_roots_symmetric_large_degree(d):
 
 @pytest.mark.parametrize("alpha, beta_", [(0.0, 0.0), (3.5, 3.5), (1.5, -0.5)])
 def test_one_pass_derivative_matches_jacobi_deriv(alpha, beta_):
-    # P' from (P_d, P_{d-1}) of one recurrence pass, as the root polish uses it
+    # P' from (P_d, P_{d-1}) of one recurrence pass, as every Newton step uses it
     t = np.linspace(-0.95, 0.95, 191)
     for d in (1, 2, 5, 20, 100):
         p = JacobiParams(alpha, beta_, d)
@@ -314,23 +313,52 @@ def _half_rows(alpha, beta_, rows):
     return (alpha, beta_, 2 * rows) if alpha == beta_ else (alpha, beta_, rows)
 
 
+def _unfold(one_plus_y, d):
+    """+-sqrt((1+y)/2), plus 0 for odd d: the roots of P_d^{(a,a)} from its half problem."""
+    pos = np.sqrt(0.5 * np.clip(one_plus_y, 0.0, 2.0))
+    return np.concatenate((-pos[::-1], [0.0] if d % 2 else [], pos))
+
+
+def _eigenvalue_roots(a, b, d):
+    """The recurrence matrix's eigenvalues, unfolded for a = b: jacobi_roots' fallback."""
+    if a == b and d >= 2:
+        return _unfold(1.0 + _recurrence_eigenvalues(a, 0.5 if d % 2 else -0.5, d // 2), d)
+    return _recurrence_eigenvalues(a, b, d)
+
+
+def _polished_eigenvalue_roots(a, b, d):
+    """The eigenvalues with one Newton step each, on the half problem for a = b."""
+    half = a == b and d >= 2
+    b_rows, rows = ((0.5 if d % 2 else -0.5), d // 2) if half else (b, d)
+    y = _recurrence_eigenvalues(a, b_rows, rows)
+    value, deriv = _jacobi_value_deriv(a, b_rows, rows, y)
+    return _unfold((1.0 + y) - value / deriv, d) if half else y - value / deriv
+
+
 def _fail(*args):
     raise AssertionError(f"fell back to the eigensolve at {args}")
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50])
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50, 104, 150])
 def test_kernel_roots_newton_route_accuracy(monkeypatch, family, n):
     # every root within 1e-9 of the gap to its nearest neighbour of the
-    # polished roots; the route must not fall back
-    monkeypatch.setattr(orthopoly, "_eigen_roots", _fail)
+    # polished eigenvalues, at every row count where the Newton route is
+    # eligible (20 + 4 max(a, b) <= rows/4; all four up to n = 50, the last
+    # two at n = 104 and 150); jacobi_roots must not fall back
+    monkeypatch.setattr(orthopoly, "_recurrence_eigenvalues", _fail)
+    checked = 0
     for rows in (_NEWTON_MIN_ROWS, 800, 1600, 3000):
         a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(n), rows)
-        roots = _kernel_roots(a, b, d)
-        ref = jacobi_roots(JacobiParams(a, b, d))
+        if 20 + 4 * a > rows / 4:  # a >= b in every family
+            continue
+        roots = jacobi_roots(JacobiParams(a, b, d))
+        ref = _polished_eigenvalue_roots(a, b, d)
         gap = np.diff(ref)
         spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
         assert np.max(np.abs(roots - ref) / spacing) <= 1e-9, rows
+        checked += 1
+    assert checked == (4 if n <= 50 else 2)
 
 
 def _bit_identical(a, b):
@@ -341,14 +369,14 @@ def _bit_identical(a, b):
 def test_kernel_roots_fallbacks_are_the_eigenvalues(monkeypatch, family):
     # below the crossover the eigenproblem is solved as before
     a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(3), _NEWTON_MIN_ROWS - 1)
-    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+    assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
     # at huge n the edge roots are too many for the asymptotic guesses
     a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(10**6), 1600)
-    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
-    # at n = 150 (a ~ 75) two Newton passes leave last steps of about 3e-6
-    # of the spacing, above the 1e-6 the route accepts
-    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(150), 1600)
-    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+    assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
+    # at n = 400 (a ~ 200) the route is eligible from about 3260 rows on,
+    # but its Newton passes overflow P at the guess nearest +1
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(400), 3600)
+    assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
 
 
 def _shift_all(x):
@@ -370,4 +398,13 @@ def test_kernel_roots_bad_guesses_fall_back(monkeypatch, family, perturb):
     guesses = orthopoly._root_guesses
     monkeypatch.setattr(orthopoly, "_root_guesses", lambda *args: perturb(guesses(*args)))
     a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(4), 1600)
-    assert _bit_identical(_kernel_roots(a, b, d), _eigen_roots(a, b, d))
+    assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n, d", [(10**17, 2), (10**17, 8), (10**20, 40)])
+def test_jacobi_roots_raise_on_a_collapsed_root_set(family, n, d):
+    # from n ~ 1e17 on the eigenvalue nearest -1 rounds to -1 (or the
+    # eigenproblem overflows), and no root set is returned
+    with pytest.raises(ConvergenceError):
+        jacobi_roots(JacobiParams(*FAMILY_TABLE[family].jacobi(n), d))

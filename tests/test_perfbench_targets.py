@@ -61,6 +61,8 @@ tracer = spans.Tracer()
 spans.install(tracer)
 sys.modules["projconst.constants"].lambda_harmonic(3, 8)
 assert tracer.counts["constants.calls"] == 1, dict(tracer.counts)
+# lambda's roots come from the traced root layer, so its time is counted there
+assert tracer.counts["orthopoly.jacobi_roots.calls"] == 1, dict(tracer.counts)
 """
 
 

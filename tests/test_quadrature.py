@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,6 +33,24 @@ from projconst.quadrature import (
 )
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+MAKE_REFERENCE = REFERENCE.with_name("make_reference.py")
+
+
+def _load_make_reference():
+    """perfbench/make_reference.py, loaded by path; loading it sets mp.dps = 40
+    and puts perfbench/ on sys.path, and both are restored."""
+    dps, path = mp.dps, list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_make_reference", MAKE_REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        mp.dps = dps
+        sys.path[:] = path
+    return module
+
+
+make_reference = _load_make_reference()
 
 
 def test_rule_order_one_plain():
@@ -394,8 +414,8 @@ def test_in_place_series_is_bit_identical(n, coef, seed):
 
 def _full_arch_sum(space: SpaceId) -> tuple[float, float]:
     """lambda and its abs_err as integrate_abs_kernel summed them before the
-    half-root sum: every Newton-polished root of jacobi_roots and the
-    allocating Clenshaw pass."""
+    half-root sum: over every root of jacobi_roots (unpolished, as the
+    library's), with betainc and the allocating Clenshaw pass."""
     n, d = space.n, space.d
     spec = FAMILY_TABLE[space.family]
     degrees = spec.degrees(d)
@@ -457,9 +477,12 @@ def test_axial_cdf_above_cutoff_is_betainc():
     d=st.integers(1, 60),
 )
 def test_closed_form_cdf_lambda_matches_betainc_arch_sum(family, n, d):
+    # against the benchmark's 40-digit arch sum with mpmath's betainc (at most
+    # 65 ms at n = 100, d = 60), not a second float route: _full_arch_sum
+    # misses abs_err itself at some draws, such as homogeneous n = 88, d = 6
     if family is Family.HOMOGENEOUS:
         d += d % 2  # the degree set holds 0 at even d only
-    space = SpaceId(family, n, d)
-    res = integrate_abs_kernel(space)
-    value, _ = _full_arch_sum(space)
-    assert abs(res.value - value) <= res.abs_err
+    res = integrate_abs_kernel(SpaceId(family, n, d))
+    with mp.workdps(40):
+        ref = make_reference.lambda_value(family.value, n, d)
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_err

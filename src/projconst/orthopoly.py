@@ -16,18 +16,20 @@ buffers, so no step allocates.
 `jacobi_roots` is the one root finder; lambda's arch sum, Gauss rules and
 `verify` all take their roots from it. For a = b the quadratic
 transformation to a Jacobi polynomial of half the degree halves the
-problem. From _NEWTON_MIN_ROWS = 700 rows on, the measured crossover, the
+problem. From _NEWTON_MIN_ROWS = 300 rows on, the measured crossover, the
 roots are asymptotic guesses (Gatteschi-Pittaluga in the interior,
 Gatteschi's Bessel-type expansion at both ends, with the Bessel zeros from
 Ikebe's small eigenproblem) refined by two Newton passes, O(d) per root per
-pass (Hale & Townsend 2013), with P_d and P'_d from a single recurrence pass
-(P'_d follows from P_d and P_{d-1}); they are kept only if they are finite,
-increase strictly inside (-1, 1) and every last step is within 1e-4 of the
-local spacing (`_newton_roots`). Below 700 rows, and wherever they are not
-kept, the roots are the eigenvalues of the symmetric tridiagonal recurrence
+pass (Hale & Townsend 2013). Each step P_d/P'_d comes from one pass of a
+scaled monic recurrence, four in-place calls per degree, which stays finite
+near +-1 at large a, b where P_d overflows (`_newton_step`; P'_d follows from
+P_d and P_{d-1}); the roots are kept only if they are finite, increase
+strictly inside (-1, 1) and every last step is within 1e-4 of the local
+spacing (`_newton_roots`). Below 300 rows, and wherever they are not kept,
+the roots are the eigenvalues of the symmetric tridiagonal recurrence
 matrix. Neither is polished: lambda's antiderivative is stationary at every
 root, so a root error e costs it O(e^2), and `gauss_jacobi_rule`, which
-needs more, takes one Newton step itself. Eigenproblems of up to 32 rows are
+needs more, takes one `_newton_step` itself. Eigenproblems of up to 32 rows are
 solved dense by numpy; only larger ones import scipy's tridiagonal solver,
 so small roots, and the Newton route, never load scipy.
 """
@@ -66,16 +68,16 @@ _CLAMP_SLACK = 1e-12
 _DENSE_EIGEN_MAX = 32
 
 # smallest root problem that jacobi_roots solves by asymptotic guesses and
-# two Newton passes instead of the eigensolve. Warm, on a shared
-# 2-vCPU Xeon with one BLAS thread (medians of 9 interleaved calls, four
-# (a, b) pairs, three processes), the Newton route takes 3.0 / 3.7 / 4.9 /
-# 6.0 / 7.1 / 9.5 / 18.2 ms at 400 / 500 / 600 / 700 / 800 / 1000 / 1600 rows
-# against 2.9 / 4.3 / 6.0 / 8.2 / 10.6 / 16.4 / 41.5 ms for the eigensolve;
-# but the host often runs this interpreter-bound loop at about half speed
-# (12 ms at 800 rows, against an unchanged 11 ms for the eigensolve), and
-# then the crossover moves to about 800 rows. 700 wins by about 1.35x in the
-# fast state and loses at most about 20% in the slow one
-_NEWTON_MIN_ROWS = 700
+# two Newton passes instead of the eigensolve. Warm, on a shared 2-vCPU Xeon
+# with one BLAS thread (medians of 9 interleaved calls, four (a, b) pairs,
+# two processes), the Newton route takes 0.8-0.9 / 1.0 / 1.2-1.3 / 1.5-1.6 /
+# 1.9-2.1 / 3.2 / 3.7-3.8 / 9.8-10.1 ms at 200 / 250 / 300 / 400 / 500 /
+# 700 / 800 / 1600 rows against 0.7-0.8 / 1.0-1.1 / 1.5-1.6 / 2.5-2.7 /
+# 3.9-4.1 / 7.6-7.7 / 9.9-10.1 / 38.6-39.9 ms for the eigensolve, so the
+# crossover lies between 250 and 300 rows. If the host ran this
+# interpreter-bound loop at half speed, as it has been seen to, 300 rows
+# would lose about 1.7x there, and the crossover would move to about 500
+_NEWTON_MIN_ROWS = 300
 
 # degrees per block of _axial_profile_blocks: a block holds block x (d/2 + 1)
 # coefficients and block x points values, so memory stays bounded at large d,
@@ -147,31 +149,11 @@ def _jacobi_recurrence_steps(
         yield p, p_prev
 
 
-def _jacobi_recurrence_pair(
-    alpha: float, beta: float, degree: int, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P_d, P_{d-1}) by the three-term recurrence in the degree, vectorized over t."""
-    for pair in _jacobi_recurrence_steps(alpha, beta, degree, t):
-        pass
-    return pair
-
-
 def _jacobi_recurrence(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
     """P_d^{(a,b)}(t), vectorized over t."""
-    return _jacobi_recurrence_pair(alpha, beta, degree, t)[0]
-
-
-def _jacobi_value_deriv(
-    alpha: float, beta: float, degree: int, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P_d, P'_d) at t in (-1, 1) from one recurrence pass, d >= 1.
-
-    (2d+a+b)(1-t^2) P'_d = d((a-b) - (2d+a+b) t) P_d + 2(d+a)(d+b) P_{d-1}.
-    """
-    p, p_prev = _jacobi_recurrence_pair(alpha, beta, degree, t)
-    s = 2.0 * degree + alpha + beta
-    num = degree * ((alpha - beta) - s * t) * p + 2.0 * (degree + alpha) * (degree + beta) * p_prev
-    return p, num / (s * (1.0 - t) * (1.0 + t))
+    for p, _ in _jacobi_recurrence_steps(alpha, beta, degree, t):
+        pass
+    return p
 
 
 def jacobi_eval(params: JacobiParams, t):
@@ -270,26 +252,67 @@ def _axial_profile_block(
     return acc
 
 
-def _recurrence_tridiagonal(alpha: float, beta: float, degree: int):
-    """Diagonal and off-diagonal of the symmetric Jacobi recurrence matrix."""
+def _recurrence_squares(alpha: float, beta: float, degree: int):
+    """Diagonal and squared off-diagonal of the symmetric Jacobi recurrence matrix.
+
+    They are the coefficients of the monic recurrence
+    p_{k+1}(t) = (t - diag_k) p_k(t) - off_sq_{k-1} p_{k-1}(t).
+    """
     ab = alpha + beta
     diag = np.empty(degree)
     diag[0] = (beta - alpha) / (ab + 2.0)
     k = np.arange(1, degree, dtype=float)
     with np.errstate(invalid="ignore"):
         diag[1:] = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    off_sq = np.empty(max(degree - 1, 0))
     if degree > 1:
-        off = np.empty(degree - 1)
         # k = 1 written with the (1+a+b) factor cancelled so a+b = -1 stays finite
-        off[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab)))
+        off_sq[0] = 4.0 * (1.0 + alpha) * (1.0 + beta) / ((2.0 + ab) ** 2 * (3.0 + ab))
         k = np.arange(2, degree, dtype=float)
-        off[1:] = np.sqrt(
+        off_sq[1:] = (
             4.0 * k * (k + alpha) * (k + beta) * (k + ab)
             / ((2.0 * k + ab) ** 2 * ((2.0 * k + ab) ** 2 - 1.0))
         )
-    else:
-        off = np.empty(0)
-    return diag, off
+    return diag, off_sq
+
+
+def _recurrence_tridiagonal(alpha: float, beta: float, degree: int):
+    """Diagonal and off-diagonal of the symmetric Jacobi recurrence matrix."""
+    diag, off_sq = _recurrence_squares(alpha, beta, degree)
+    return diag, np.sqrt(off_sq)
+
+
+def _newton_step(alpha: float, beta: float, degree: int, t: np.ndarray) -> np.ndarray:
+    """The Newton step P_d/P'_d of P_d^{(a,b)} at t, from one recurrence pass, d >= 1.
+
+    The pass runs the scaled monic recurrence q_0 = 1, q_1 = 2t - 2a_0,
+    q_{k+1} = (2t - 2a_k) q_k - 4b_k^2 q_{k-1}, with a_k and b_k^2 from
+    `_recurrence_squares`, so q_k = 2^k P_k / kappa_k for kappa_k the leading
+    coefficient of P_k. Each step is four in-place calls, and near +1, q_d is
+    about 2^-(a+b) P_d, so it stays finite at large a where P_d overflows.
+    With s = 2d+a+b, s(1-t^2) P'_d = d((a-b) - s t) P_d + 2(d+a)(d+b) P_{d-1}
+    gives P/P' = s(1-t^2) q_d / [d((a-b) - s t) q_d + 2(d+a)(d+b) r q_{d-1}],
+    where r = 2 kappa_{d-1}/kappa_d = 4d(d+a+b)/(s(s-1)), written 4/(a+b+2) at
+    d = 1 so that a+b = -1 stays finite. The step is NaN where that
+    denominator is not finite or t = +-1, where the identity gives no P'.
+    """
+    diag, off_sq = _recurrence_squares(alpha, beta, degree)
+    t2 = 2.0 * t
+    q_prev, q = np.ones_like(t), t2 - 2.0 * diag[0]
+    scratch = np.empty_like(t)
+    for two_a, four_b_sq in zip((2.0 * diag[1:]).tolist(), (4.0 * off_sq).tolist()):
+        np.subtract(t2, two_a, out=scratch)
+        scratch *= q
+        q_prev *= four_b_sq
+        scratch -= q_prev
+        q_prev, q, scratch = q, scratch, q_prev
+    ab = alpha + beta
+    s = 2.0 * degree + ab
+    r = 4.0 / (ab + 2.0) if degree == 1 else 4.0 * degree * (degree + ab) / (s * (s - 1.0))
+    den = degree * ((alpha - beta) - s * t) * q
+    den += (2.0 * (degree + alpha) * (degree + beta) * r) * q_prev
+    one_minus = (1.0 - t) * (1.0 + t)
+    return np.where(np.isfinite(den) & (one_minus > 0.0), s * one_minus * q / den, np.nan)
 
 
 def _recurrence_eigenvalues(alpha: float, beta: float, degree: int) -> np.ndarray:
@@ -353,7 +376,12 @@ def _newton_roots(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, n
     arch sum of lambda, stationary at every root, feels only squared. The
     last steps grow roughly like a^2.5 and not with d: for lambda's (a, b)
     they reach 5.7e-7 of the spacing at n = 80 (a ~ 40), 2.9e-6 at n = 150
-    and 1.5e-5 at n = 300.
+    and 1.5e-5 at n = 300. The steps' scaled recurrence (`_newton_step`)
+    stays finite where P_d overflows, so lambda's problems settle at n = 400
+    with 3600 rows, and polyleq's up to n = 600 with 5000; but the scaled
+    values overflow too at the roots nearest the ends, and the result is
+    None, for harmonic and homogeneous from n ~ 480 with 5000 rows (a ~ 240)
+    and for polyleq at n = 678 with 5500.
     """
     if degree < _NEWTON_MIN_ROWS or 20 + 4 * max(alpha, beta) > degree / 4:
         return None
@@ -362,8 +390,7 @@ def _newton_roots(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, n
     # fails every test below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(2):
-            value, deriv = _jacobi_value_deriv(alpha, beta, degree, y)
-            step = value / deriv
+            step = _newton_step(alpha, beta, degree, y)
             prev, y = y, y - step
         settled = (
             y[0] > -1.0

@@ -9,8 +9,9 @@ roots of `orthopoly.jacobi_roots` serve unpolished. For the symmetric
 kernels (harmonic, homogeneous) only the roots in [0, 1] are summed, and a
 root set that collapses at huge n (ConvergenceError) is reported as a value
 that is not finite. Gauss rules (`gauss_jacobi_rule`) live on [-1, 1]:
-their nodes are the roots of `jacobi_roots` with one Newton step each, and
-their weights are the Christoffel numbers of the same recurrence.
+their nodes are the roots of `jacobi_roots` with one Newton step each
+(`orthopoly._newton_step`), and their weights are the Christoffel numbers
+of the same recurrence.
 `integrate_abs_jacobi` is the general route for any (a, b, gamma): each
 smooth arch is integrated to
 spectral accuracy; the two end arches map the rule for (1+t)^gamma,
@@ -23,7 +24,7 @@ memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
 scipy.linalg by any eigensolve of more than 32 rows (below the Newton
-route's 700 rows, or where it falls back), and `betainc` for the
+route's 300 rows, or where it falls back), and `betainc` for the
 axial distribution function (`_axial_cdf`) of a kernel whose degree set holds
 0 (polyleq, and homogeneous at even d) above n = 100 only; up to there a
 closed form on numpy serves it.
@@ -43,7 +44,7 @@ from .geometry import FAMILY_TABLE, SpaceId, axial_constant
 from .orthopoly import (
     JacobiParams,
     _jacobi_recurrence,
-    _jacobi_value_deriv,
+    _newton_step,
     _recurrence_tridiagonal,
     jacobi_roots,
 )
@@ -64,10 +65,10 @@ _DOUBLING_STOP = 1e-10
 # abs_err of integrate_abs_kernel, in units of eps times the summed sizes of
 # the antiderivative's two parts at every root. Against 40-digit references
 # (every n >= 3 value of perfbench/reference.json) the error of the sum over
-# unpolished roots, half of them for the symmetric kernels, reached 25 such
-# units, at homogeneous n = 4, d = 275 (Newton-polished roots summed in full
-# reached 29, at polyleq n = 4, d = 662); 48 keeps a margin, and n = 50,
-# d <= 54 still meets the default tolerance, which allows up to 59 there.
+# unpolished roots, half of them for the symmetric kernels, reached 29 such
+# units, at polyleq n = 4, d = 662 (from the Newton route), and 25 at
+# homogeneous n = 4, d = 275 (from the eigensolve); 48 keeps a margin, and
+# n = 50, d <= 54 still meets the default tolerance, which allows up to 59 there.
 _ARCH_SUM_ROUNDING = 48.0
 
 # abs_err of dirichlet_lebesgue, in units of eps times the value. Each term
@@ -129,11 +130,10 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
         raise DomainError(f"order must be >= 1, got {order}")
     x = jacobi_roots(JacobiParams(alpha, beta, order))
     # one Newton step per node; overflow, and a node rounded to +-1, show as
-    # a P' or a step that is not finite
+    # a step that is not finite (NaN where P' is not)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values, derivs = _jacobi_value_deriv(alpha, beta, order, x)
-        step = values / derivs
-    bad = ~np.isfinite(derivs) | ~np.isfinite(step) | (np.abs(step) > 1e-6)
+        step = _newton_step(alpha, beta, order, x)
+    bad = ~np.isfinite(step) | (np.abs(step) > 1e-6)
     if np.any(bad):
         raise ConvergenceError(
             f"Newton polish of P_{order}^({alpha},{beta}) diverged at root indices "
@@ -233,11 +233,14 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     with I(t) = c_n Int_{-1}^t (1-s^2)^gamma ds (`_axial_cdf`). K keeps its
     sign between consecutive breakpoints -1, roots, 1, so the integral is the
     sum of |F(x_{j+1}) - F(x_j)|; the series is summed by one in-place
-    Clenshaw pass over the roots, O(d^2) in all.
+    Clenshaw pass over the roots, O(d^2) in all, which skips the zero
+    coefficients (all but the top one for harmonic, every other one for
+    homogeneous). The power (1-t^2)^(gamma+1) amplifies its base's rounding
+    by its exponent, so where |t| < 1/2 it is exp((gamma+1) log1p(-t^2)).
 
     F' = c_n K w vanishes at each root, so a root error e moves F only by
     O(e^2), and the roots of orthopoly.jacobi_roots serve unpolished: the
-    recurrence matrix's eigenvalues below 700 rows of the root problem (d/2
+    recurrence matrix's eigenvalues below 300 rows of the root problem (d/2
     rows for harmonic and homogeneous, d for polyleq), and from there on
     asymptotic guesses refined by two Newton passes wherever they settle.
     For harmonic and homogeneous spaces K has the parity of d and
@@ -279,8 +282,14 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
     # is not finite as a ToleranceError, so numpy's warnings would be noise
     with np.errstate(over="ignore", invalid="ignore"):
         series = _gegenbauer_series(x, coef, mu)
-        # (1-x)(1+x) rather than 1-x^2: exact near +-1, where the power amplifies error
-        oscillating = 2.0 * c_n * ((1.0 - x) * (1.0 + x)) ** (lam + 0.5) * series
+        # log1p(-x^2) where |x| < 1/2, whose error shrinks with x^2; nearer
+        # +-1, (1-x)(1+x) rather than 1-x^2, exact there
+        power = np.where(
+            np.abs(x) < 0.5,
+            np.exp((lam + 0.5) * np.log1p(-x * x)),
+            ((1.0 - x) * (1.0 + x)) ** (lam + 0.5),
+        )
+        oscillating = 2.0 * c_n * power * series
         if 0 in degrees:
             incomplete = _axial_cdf(n, x)
             top = 1.0  # I(1): the weight's total mass times c_n
@@ -361,7 +370,8 @@ def _gegenbauer_series(x: np.ndarray, coef: list[float], mu: float) -> np.ndarra
     C_{j+1} = A_j x C_j - B_j C_{j-1}, A_j = 2(j+mu)/(j+1) and
     B_j = (j+2mu-1)/(j+1); the sum is b_0. Three buffers rotate, so no step
     allocates, and each step rounds as coef_j + (A_j x) b_{j+1} - B_{j+1} b_{j+2}
-    would.
+    would; a zero coef_j is not added, which changes no value (at most the
+    sign of a zero).
     """
     a = [2.0 * (j + mu) / (j + 1) for j in range(len(coef))]
     b_next = [(j + 2.0 * mu) / (j + 2) for j in range(len(coef))]  # B_{j+1}
@@ -371,7 +381,8 @@ def _gegenbauer_series(x: np.ndarray, coef: list[float], mu: float) -> np.ndarra
     for j in range(len(coef) - 1, -1, -1):
         np.multiply(x, a[j], out=scratch)
         scratch *= b1
-        scratch += coef[j]
+        if coef[j]:
+            scratch += coef[j]
         b2 *= b_next[j]
         scratch -= b2
         b1, b2, scratch = scratch, b1, b2

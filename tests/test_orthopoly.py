@@ -15,7 +15,7 @@ from projconst.orthopoly import (
     _NEWTON_MIN_ROWS,
     JacobiParams,
     _bessel_zeros,
-    _jacobi_value_deriv,
+    _newton_step,
     _recurrence_eigenvalues,
     _recurrence_tridiagonal,
     jacobi_eval,
@@ -68,12 +68,23 @@ def test_jacobi_reflection_symmetry(alpha, beta_, d):
     assert np.max(np.abs(residual)) <= 1e-10
 
 
+def _shifted_deriv(alpha, beta_, d, t):
+    """P'_d^{(a,b)}(t) = ((d+a+b+1)/2) P_{d-1}^{(a+1,b+1)}(t)."""
+    shifted = JacobiParams(alpha + 1.0, beta_ + 1.0, d - 1)
+    return 0.5 * (d + alpha + beta_ + 1.0) * jacobi_eval(shifted, t)
+
+
 def test_jacobi_derivative_identity():
-    p = JacobiParams(0.5, 1.5, 6)
+    # the P' that the Newton step implies, P / step, against a central
+    # difference and the shifted-parameter P', also at order 1 and a + b = -1
     h = 1e-6
     t = np.linspace(-0.9, 0.9, 37)
-    numeric = (jacobi_eval(p, t + h) - jacobi_eval(p, t - h)) / (2 * h)
-    assert np.allclose(_jacobi_value_deriv(0.5, 1.5, 6, t)[1], numeric, atol=1e-5)
+    for alpha, beta_, d in ((0.5, 1.5, 6), (0.5, 1.5, 1), (-0.25, -0.75, 6)):
+        p = JacobiParams(alpha, beta_, d)
+        numeric = (jacobi_eval(p, t + h) - jacobi_eval(p, t - h)) / (2 * h)
+        implied = jacobi_eval(p, t) / _newton_step(alpha, beta_, d, t)
+        assert np.allclose(implied, numeric, atol=1e-5)
+        assert np.allclose(implied, _shifted_deriv(alpha, beta_, d, t), atol=1e-5)
 
 
 def test_legendre_nd_coeffs_examples():
@@ -231,24 +242,38 @@ def test_jacobi_roots_symmetric_large_degree(d):
     assert (0.0 in roots) == bool(d % 2)
 
 
-@pytest.mark.parametrize("alpha, beta_", [(0.0, 0.0), (3.5, 3.5), (1.5, -0.5)])
+@pytest.mark.parametrize(
+    "alpha, beta_", [(0.0, 0.0), (3.5, 3.5), (1.5, -0.5), (-0.5, -0.5), (-0.3, -0.7)]
+)
 def test_one_pass_derivative_matches_jacobi_deriv(alpha, beta_):
-    # P' from (P_d, P_{d-1}) of one recurrence pass, as every Newton step uses it
+    # the Newton step of one scaled recurrence pass, as every Newton step takes
+    # it, against P / P' with the shifted-parameter P'. On a grid the bound is
+    # what errors of 1e-12 max|P| in P and 1e-12 max|P'| in P' would move P/P'
+    # by; at the roots, where the step is the Newton correction, it is 1e-12
+    # of the gap to the nearest neighbour
     t = np.linspace(-0.95, 0.95, 191)
     for d in (1, 2, 5, 20, 100):
         p = JacobiParams(alpha, beta_, d)
-        # oracle: P'_d^{(a,b)} = ((d+a+b+1)/2) P_{d-1}^{(a+1,b+1)}
-        shifted = JacobiParams(alpha + 1.0, beta_ + 1.0, d - 1)
-        factor = 0.5 * (d + alpha + beta_ + 1.0)
-        value, deriv = _jacobi_value_deriv(alpha, beta_, d, t)
-        expect = factor * jacobi_eval(shifted, t)
-        assert np.array_equal(value, jacobi_eval(p, t))
-        assert np.max(np.abs(deriv - expect)) <= 1e-12 * np.max(np.abs(expect)), d
-        # pointwise at the roots, where P' is far from zero
+        value, deriv = jacobi_eval(p, t), _shifted_deriv(alpha, beta_, d, t)
+        expect = value / deriv
+        bound = 1e-12 * (np.max(np.abs(value)) + np.abs(expect) * np.max(np.abs(deriv)))
+        bound /= np.abs(deriv)
+        assert np.all(np.abs(_newton_step(alpha, beta_, d, t) - expect) <= bound), d
         roots = jacobi_roots(p)
-        _, deriv = _jacobi_value_deriv(alpha, beta_, d, roots)
-        expect = factor * jacobi_eval(shifted, roots)
-        assert np.all(np.abs(deriv - expect) <= 1e-12 * np.abs(expect)), d
+        expect = jacobi_eval(p, roots) / _shifted_deriv(alpha, beta_, d, roots)
+        gap = np.diff(np.concatenate(([-1.0], roots, [1.0])))
+        spacing = np.minimum(gap[1:], gap[:-1])
+        assert np.all(np.abs(_newton_step(alpha, beta_, d, roots) - expect) <= 1e-12 * spacing), d
+
+
+def test_newton_step_is_not_finite_where_p_prime_is_not():
+    # t = +-1, where the identity for P' gives none, and an overflowing P'
+    with np.errstate(invalid="ignore"):  # P' there comes from 0/0
+        step = _newton_step(0.5, 1.5, 6, np.array([-1.0, 0.0, 1.0]))
+    assert np.isnan(step[0]) and np.isfinite(step[1]) and np.isnan(step[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _newton_step(400.0, 400.0, 5000, np.array([0.999]))
+    assert np.isnan(step[0])
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 1.0, -0.4, GRID])
@@ -331,8 +356,8 @@ def _polished_eigenvalue_roots(a, b, d):
     half = a == b and d >= 2
     b_rows, rows = ((0.5 if d % 2 else -0.5), d // 2) if half else (b, d)
     y = _recurrence_eigenvalues(a, b_rows, rows)
-    value, deriv = _jacobi_value_deriv(a, b_rows, rows, y)
-    return _unfold((1.0 + y) - value / deriv, d) if half else y - value / deriv
+    step = _newton_step(a, b_rows, rows, y)
+    return _unfold((1.0 + y) - step, d) if half else y - step
 
 
 def _fail(*args):
@@ -340,25 +365,25 @@ def _fail(*args):
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50, 104, 150])
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50, 104, 150, 400])
 def test_kernel_roots_newton_route_accuracy(monkeypatch, family, n):
     # every root within 1e-9 of the gap to its nearest neighbour of the
     # polished eigenvalues, at every row count where the Newton route is
-    # eligible (20 + 4 max(a, b) <= rows/4; all four up to n = 50, the last
-    # two at n = 104 and 150); jacobi_roots must not fall back
+    # eligible (20 + 4 max(a, b) <= rows/4); jacobi_roots must not fall back.
+    # n = 400 (a ~ 200) at 3600 rows is where P itself overflows near +1,
+    # and the scaled recurrence of the Newton steps does not
     monkeypatch.setattr(orthopoly, "_recurrence_eigenvalues", _fail)
-    checked = 0
-    for rows in (_NEWTON_MIN_ROWS, 800, 1600, 3000):
+    row_counts = (3600,) if n == 400 else (_NEWTON_MIN_ROWS, 800, 1600, 3000)
+    alpha = FAMILY_TABLE[family].jacobi(n)[0]  # a >= b in every family
+    eligible = [rows for rows in row_counts if 20 + 4 * alpha <= rows / 4]
+    assert eligible
+    for rows in eligible:
         a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(n), rows)
-        if 20 + 4 * a > rows / 4:  # a >= b in every family
-            continue
         roots = jacobi_roots(JacobiParams(a, b, d))
         ref = _polished_eigenvalue_roots(a, b, d)
         gap = np.diff(ref)
         spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
         assert np.max(np.abs(roots - ref) / spacing) <= 1e-9, rows
-        checked += 1
-    assert checked == (4 if n <= 50 else 2)
 
 
 def _bit_identical(a, b):
@@ -373,9 +398,8 @@ def test_kernel_roots_fallbacks_are_the_eigenvalues(monkeypatch, family):
     # at huge n the edge roots are too many for the asymptotic guesses
     a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(10**6), 1600)
     assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
-    # at n = 400 (a ~ 200) the route is eligible from about 3260 rows on,
-    # but its Newton passes overflow P at the guess nearest +1
-    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(400), 3600)
+    # at n = 700 (a ~ 350), 5000 rows hold too many edge roots as well
+    a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(700), 5000)
     assert _bit_identical(jacobi_roots(JacobiParams(a, b, d)), _eigenvalue_roots(a, b, d))
 
 

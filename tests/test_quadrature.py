@@ -400,13 +400,29 @@ def _allocating_series(x, coef, mu):
     return b1
 
 
+def _top_only(coef):
+    # harmonic: only the top degree is in the kernel
+    return [0.0] * (len(coef) - 1) + coef[-1:]
+
+
+def _every_other(coef):
+    # homogeneous: every other degree is zero
+    return [c if (len(coef) - 1 - j) % 2 == 0 else 0.0 for j, c in enumerate(coef)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(3, 60),
-    coef=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
+    coef=st.one_of(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80).map(_top_only),
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=80).map(_every_other),
+        st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0), min_size=1, max_size=80),
+    ),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_in_place_series_is_bit_identical(n, coef, seed):
+    # the in-place pass skips the coefficient's addition where it is zero
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, 33)
     mu = n / 2.0
     assert np.array_equal(_gegenbauer_series(x, coef, mu), _allocating_series(x, coef, mu))
@@ -485,4 +501,14 @@ def test_closed_form_cdf_lambda_matches_betainc_arch_sum(family, n, d):
     res = integrate_abs_kernel(SpaceId(family, n, d))
     with mp.workdps(40):
         ref = make_reference.lambda_value(family.value, n, d)
+        assert abs(mp.mpf(res.value) - ref) <= res.abs_err
+
+
+@pytest.mark.parametrize("n", [87, 96, 98])
+def test_polyleq_degree_one_within_abs_err(n):
+    # the one root lies near 0, where the weight's power comes from log1p;
+    # the power of the rounded (1-x)(1+x) missed abs_err here by up to 1.16x
+    res = integrate_abs_kernel(SpaceId(Family.POLY_LEQ, n, 1))
+    with mp.workdps(40):
+        ref = make_reference.lambda_value(Family.POLY_LEQ.value, n, 1)
         assert abs(mp.mpf(res.value) - ref) <= res.abs_err

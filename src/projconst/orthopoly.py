@@ -16,22 +16,24 @@ buffers, so no step allocates.
 `jacobi_roots` is the one root finder; lambda's arch sum, Gauss rules and
 `verify` all take their roots from it. For a = b the quadratic
 transformation to a Jacobi polynomial of half the degree halves the
-problem. From _NEWTON_MIN_ROWS = 300 rows on, the measured crossover, the
+problem. From _NEWTON_MIN_ROWS = 128 rows on, the measured crossover, the
 roots are asymptotic guesses (Gatteschi-Pittaluga in the interior,
 Gatteschi's Bessel-type expansion at both ends, with the Bessel zeros from
-Ikebe's small eigenproblem) refined by two Newton passes, O(d) per root per
-pass (Hale & Townsend 2013). Each step P_d/P'_d comes from one pass of a
-scaled monic recurrence, four in-place calls per degree, which stays finite
-near +-1 at large a, b where P_d overflows (`_newton_step`; P'_d follows from
-P_d and P_{d-1}); the roots are kept only if they are finite, increase
-strictly inside (-1, 1) and every last step is within 1e-4 of the local
-spacing (`_newton_roots`). Below 300 rows, and wherever they are not kept,
-the roots are the eigenvalues of the symmetric tridiagonal recurrence
-matrix. Neither is polished: lambda's antiderivative is stationary at every
-root, so a root error e costs it O(e^2), and `gauss_jacobi_rule`, which
-needs more, takes one `_newton_step` itself. Eigenproblems of up to 32 rows are
-solved dense by numpy; only larger ones import scipy's tridiagonal solver,
-so small roots, and the Newton route, never load scipy.
+Ikebe's small eigenproblem) refined by one Newton pass, O(d) per root
+(Hale & Townsend 2013), and a second pass over only the roots whose first
+step exceeds the acceptance bound: none for lambda at n <= 10, a few dozen
+edge roots at n = 20. Each step P_d/P'_d comes from one pass of a scaled
+monic recurrence, four in-place calls per degree, which stays finite near
++-1 at large a, b where P_d overflows (`_newton_step`; P'_d follows from P_d
+and P_{d-1}); the roots are kept only if they are finite, increase strictly
+inside (-1, 1) and every last step is within 1e-4 of the local spacing
+(`_newton_roots`). Below 128 rows, and wherever they are not kept, the
+roots are the eigenvalues of the symmetric tridiagonal recurrence matrix.
+Neither is polished: lambda's antiderivative is stationary at every root, so
+a root error e costs it O(e^2), and `gauss_jacobi_rule`, which needs more,
+takes one `_newton_step` itself. Eigenproblems of up to 32 rows are solved
+dense by numpy; only larger ones import scipy's tridiagonal solver, so small
+roots, and the Newton route, never load scipy.
 """
 
 from __future__ import annotations
@@ -68,16 +70,19 @@ _CLAMP_SLACK = 1e-12
 _DENSE_EIGEN_MAX = 32
 
 # smallest root problem that jacobi_roots solves by asymptotic guesses and
-# two Newton passes instead of the eigensolve. Warm, on a shared 2-vCPU Xeon
-# with one BLAS thread (medians of 9 interleaved calls, four (a, b) pairs,
-# two processes), the Newton route takes 0.8-0.9 / 1.0 / 1.2-1.3 / 1.5-1.6 /
-# 1.9-2.1 / 3.2 / 3.7-3.8 / 9.8-10.1 ms at 200 / 250 / 300 / 400 / 500 /
-# 700 / 800 / 1600 rows against 0.7-0.8 / 1.0-1.1 / 1.5-1.6 / 2.5-2.7 /
-# 3.9-4.1 / 7.6-7.7 / 9.9-10.1 / 38.6-39.9 ms for the eigensolve, so the
-# crossover lies between 250 and 300 rows. If the host ran this
-# interpreter-bound loop at half speed, as it has been seen to, 300 rows
-# would lose about 1.7x there, and the crossover would move to about 500
-_NEWTON_MIN_ROWS = 300
+# Newton steps instead of the eigensolve; lambda's problems from here on take
+# one pass up to n = 10. Warm, on a shared 2-vCPU Xeon with one BLAS thread
+# (medians over six of lambda's (a, b) at n = 3, 4 and 5 of 21 calls each in
+# alternating order, two runs), the Newton route takes 246-247 / 261-263 /
+# 278 / 293-295 / 310-312 / 329-337 / 359-375 / 452-477 / 587-595 / 653-659
+# us at 96 / 104 / 112 / 120 / 128 / 137 / 150 / 200 / 274 / 300 rows against
+# 217-220 / 247-250 / 278-279 / 310-314 / 349-351 / 392-395 / 456-482 /
+# 744-778 / 1305-1317 / 1552-1579 us for the eigensolve, so the two are even
+# at 112 rows; 128 keeps jacobi_sweep's median cells (polyleq d ~ 113-120)
+# on the eigensolve. In spells where the host ran this interpreter-bound loop
+# at up to 1.8x its time, as it has been seen to, the route lost 1.4x at 128
+# rows and 1.2x at 150, and was even at 200
+_NEWTON_MIN_ROWS = 128
 
 # degrees per block of _axial_profile_blocks: a block holds block x (d/2 + 1)
 # coefficients and block x points values, so memory stays bounded at large d,
@@ -362,26 +367,30 @@ def jacobi_roots(params: JacobiParams) -> np.ndarray:
 
 
 def _newton_roots(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(y, s) with the roots of P_d^{(a,b)} at y - s, from two Newton passes, or None.
+    """(y, s) with the roots of P_d^{(a,b)} at y - s, from Newton steps, or None.
 
     Only where the problem has at least _NEWTON_MIN_ROWS rows and its edge
     roots are few against its size (20 + 4 max(a, b) <= d/4): asymptotic
-    guesses (`_root_guesses`) refined by two vectorized Newton passes, O(d^2)
-    in all, as in Hale & Townsend (2013); y is the iterate before the last
-    pass and s its step. They count only if they are finite, increase
+    guesses (`_root_guesses`) refined by one vectorized Newton pass, O(d^2),
+    as in Hale & Townsend (2013), and a second pass over only the roots whose
+    first step exceeds the bound below; y is each root's iterate before its
+    last step and s that step. They count only if they are finite, increase
     strictly inside (-1, 1), and every last step is at most 1e-4 of the
-    local spacing sqrt(1-x^2)/d; otherwise, and for smaller or edge-heavy
-    problems, None. A last step s leaves a root error of about s^2/spacing,
-    so the bound keeps the roots within about 1e-8 of the spacing, which the
-    arch sum of lambda, stationary at every root, feels only squared. The
-    last steps grow roughly like a^2.5 and not with d: for lambda's (a, b)
-    they reach 5.7e-7 of the spacing at n = 80 (a ~ 40), 2.9e-6 at n = 150
-    and 1.5e-5 at n = 300. The steps' scaled recurrence (`_newton_step`)
-    stays finite where P_d overflows, so lambda's problems settle at n = 400
-    with 3600 rows, and polyleq's up to n = 600 with 5000; but the scaled
-    values overflow too at the roots nearest the ends, and the result is
-    None, for harmonic and homogeneous from n ~ 480 with 5000 rows (a ~ 240)
-    and for polyleq at n = 678 with 5500.
+    local spacing sqrt(1-x^2)/d (`_newton_bound`); otherwise, and for smaller
+    or edge-heavy problems, None. A last step s leaves a root error of about
+    s^2/spacing, so the bound keeps the roots within about 1e-8 of the
+    spacing, which the arch sum of lambda, stationary at every root, feels
+    only squared. For lambda's (a, b) every first step is within the bound
+    up to n = 10 (at most 5.6e-5 of the spacing, n = 10 at 152 rows), so one
+    pass serves; at n = 20, 20-52 edge roots take a second, and at n = 50
+    about 180-390. The second pass's steps grow roughly like a^2.5 and not
+    with d: 5.7e-7 of the spacing at n = 80 (a ~ 40), 2.9e-6 at n = 150 and
+    1.5e-5 at n = 300. The steps' scaled recurrence (`_newton_step`) stays
+    finite where P_d overflows, so lambda's problems settle at n = 400 with
+    3600 rows, and polyleq's up to n = 600 with 5000; but the scaled values
+    overflow too at the roots nearest the ends, and the result is None, for
+    harmonic and homogeneous from n ~ 480 with 5000 rows (a ~ 240) and for
+    polyleq at n = 678 with 5500.
     """
     if degree < _NEWTON_MIN_ROWS or 20 + 4 * max(alpha, beta) > degree / 4:
         return None
@@ -389,16 +398,25 @@ def _newton_roots(alpha: float, beta: float, degree: int) -> tuple[np.ndarray, n
     # a guess that went astray shows as a value that is not finite, and NaN
     # fails every test below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(2):
-            step = _newton_step(alpha, beta, degree, y)
-            prev, y = y, y - step
+        step = _newton_step(alpha, beta, degree, y)
+        x = y - step
+        redo = ~(np.abs(step) <= _newton_bound(x, degree))
+        if np.any(redo):
+            y[redo] = x[redo]
+            step[redo] = _newton_step(alpha, beta, degree, y[redo])
+            x = y - step
         settled = (
-            y[0] > -1.0
-            and y[-1] < 1.0
-            and np.all(y[1:] > y[:-1])
-            and np.all(np.abs(step) <= 1e-4 * np.sqrt((1.0 - y) * (1.0 + y)) / degree)
+            x[0] > -1.0
+            and x[-1] < 1.0
+            and np.all(x[1:] > x[:-1])
+            and np.all(np.abs(step) <= _newton_bound(x, degree))
         )
-    return (prev, step) if settled else None
+    return (y, step) if settled else None
+
+
+def _newton_bound(x: np.ndarray, degree: int) -> np.ndarray:
+    """The largest last Newton step `_newton_roots` accepts: 1e-4 of the local spacing."""
+    return 1e-4 * np.sqrt((1.0 - x) * (1.0 + x)) / degree
 
 
 def _root_guesses(alpha: float, beta: float, degree: int) -> np.ndarray:

@@ -24,7 +24,7 @@ memory, for up to 2^53 arches.
 All three routes only compute value +- abs_err; constants.projection_constant
 decides whether a lambda meets tol. scipy is imported only where it is used:
 scipy.linalg by any eigensolve of more than 32 rows (below the Newton
-route's 300 rows, or where it falls back), and `betainc` for the
+route's 128 rows, or where it falls back), and `betainc` for the
 axial distribution function (`_axial_cdf`) of a kernel whose degree set holds
 0 (polyleq, and homogeneous at even d) above n = 100 only; up to there a
 closed form on numpy serves it.
@@ -154,8 +154,25 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
 
 
 def weight_mass(alpha: float, beta: float) -> float:
-    """Total mass of (1-t)^alpha (1+t)^beta over [-1, 1]."""
-    return 2.0 ** (alpha + beta + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
+    """Total mass of (1-t)^alpha (1+t)^beta over [-1, 1], 2^(a+b+1) B(a+1, b+1).
+
+    Where the product overflows a float (2^(a+b+1) from a + b = 1023 on) it
+    is taken in log space; a mass that overflows too raises DomainError.
+    """
+    try:
+        mass = 2.0 ** (alpha + beta + 1.0) * beta_fn(alpha + 1.0, beta + 1.0)
+    except OverflowError:
+        mass = math.inf
+    if mass < math.inf:
+        return mass
+    log_mass = ((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    try:
+        return math.exp(log_mass)
+    except OverflowError:
+        raise DomainError(
+            f"the mass of the weight ({alpha}, {beta}) overflows a float"
+        ) from None
 
 
 def _abs_jacobi_pass(
@@ -240,9 +257,10 @@ def integrate_abs_kernel(space: SpaceId) -> ComputationResult:
 
     F' = c_n K w vanishes at each root, so a root error e moves F only by
     O(e^2), and the roots of orthopoly.jacobi_roots serve unpolished: the
-    recurrence matrix's eigenvalues below 300 rows of the root problem (d/2
+    recurrence matrix's eigenvalues below 128 rows of the root problem (d/2
     rows for harmonic and homogeneous, d for polyleq), and from there on
-    asymptotic guesses refined by two Newton passes wherever they settle.
+    asymptotic guesses refined by one Newton pass, plus a second over the
+    roots whose first step is too large, wherever they settle.
     For harmonic and homogeneous spaces K has the parity of d and
     F(-t) = F(1) - F(t), so only the roots in [0, 1] are summed: twice the
     arches there, plus the middle arch |2F(x_1) - F(1)| across 0 when d is

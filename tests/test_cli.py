@@ -639,9 +639,9 @@ def test_cli_exit_code_is_0_2_or_3(argv):
     assert code in (0, 2, 3), argv
 
 
-# commands whose every eigenproblem has at most 32 rows and whose incomplete
-# beta, if any, is at n <= 100, where numpy serves it; scipy must stay
-# unloaded while they run
+# commands whose every root problem has at most 32 rows or takes the Newton
+# route, and whose incomplete beta, if any, is at n <= 100, where numpy
+# serves it; scipy must stay unloaded while they run
 _COLD_ARGVS = [
     ["compute", "--family", "harmonic", "--n", "3", "--d", "64"],
     ["compute", "--family", "homogeneous", "--n", "3", "--d", "7"],
@@ -655,6 +655,9 @@ _COLD_ARGVS = [
     ["compute", "--family", "homogeneous", "--n", "4", "--d", "6"],
     ["table", "--family", "polyleq", "--n", "5", "--d-max", "20"],
     ["converge", "--family", "homogeneous", "--n", "4", "--d-values", "8,16,32,64"],
+    # root problems of 200 rows, above the Newton route's crossover
+    ["compute", "--family", "polyleq", "--n", "3", "--d", "200"],
+    ["compute", "--family", "harmonic", "--n", "3", "--d", "400"],
 ]
 
 _COLD_PROCESS = """

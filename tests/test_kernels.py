@@ -135,6 +135,13 @@ def test_kernel_l2_norm_large_degree_against_exact_dim(family, n):
     assert err <= res.abs_err, space
 
 
+def test_kernel_l2_norm_where_the_weight_mass_overflows_as_a_product():
+    # the Gauss rule's weight (a, a) = (750, 750) has 2^(2a+1) out of float range
+    space = SpaceId(Family.HARMONIC, 1503, 2)
+    res = kernel_l2_norm(space)
+    assert abs(mp.mpf(res.value) - mp.sqrt(dim_space(space))) <= res.abs_err
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(list(Family)),

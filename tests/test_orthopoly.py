@@ -364,6 +364,18 @@ def _fail(*args):
     raise AssertionError(f"fell back to the eigensolve at {args}")
 
 
+_ROW_COUNTS = (_NEWTON_MIN_ROWS, 800, 1600, 3000)
+
+
+def _eligible_rows(family, n, row_counts):
+    """The row counts where the Newton route may serve lambda's (a, b) at n:
+    20 + 4 max(a, b) <= rows/4."""
+    alpha = FAMILY_TABLE[family].jacobi(n)[0]  # a >= b in every family
+    eligible = [rows for rows in row_counts if 20 + 4 * alpha <= rows / 4]
+    assert eligible
+    return eligible
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("n", [3, 4, 5, 10, 20, 50, 104, 150, 400])
 def test_kernel_roots_newton_route_accuracy(monkeypatch, family, n):
@@ -373,17 +385,43 @@ def test_kernel_roots_newton_route_accuracy(monkeypatch, family, n):
     # n = 400 (a ~ 200) at 3600 rows is where P itself overflows near +1,
     # and the scaled recurrence of the Newton steps does not
     monkeypatch.setattr(orthopoly, "_recurrence_eigenvalues", _fail)
-    row_counts = (3600,) if n == 400 else (_NEWTON_MIN_ROWS, 800, 1600, 3000)
-    alpha = FAMILY_TABLE[family].jacobi(n)[0]  # a >= b in every family
-    eligible = [rows for rows in row_counts if 20 + 4 * alpha <= rows / 4]
-    assert eligible
-    for rows in eligible:
+    row_counts = (3600,) if n == 400 else _ROW_COUNTS
+    for rows in _eligible_rows(family, n, row_counts):
         a, b, d = _half_rows(*FAMILY_TABLE[family].jacobi(n), rows)
         roots = jacobi_roots(JacobiParams(a, b, d))
         ref = _polished_eigenvalue_roots(a, b, d)
         gap = np.diff(ref)
         spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
         assert np.max(np.abs(roots - ref) / spacing) <= 1e-9, rows
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 20])
+def test_newton_route_takes_a_second_pass_only_where_a_first_step_is_large(
+    monkeypatch, family, n
+):
+    # the asymptotic guesses put every first step within the acceptance bound
+    # for n <= 10; at n = 20 the second pass refines only some edge roots.
+    # For a = b both parities of d count: their half problems have b = -1/2
+    # and b = +1/2
+    sizes = []
+    step = orthopoly._newton_step
+
+    def counting_step(a, b, d, t):
+        sizes.append(t.size)
+        return step(a, b, d, t)
+
+    monkeypatch.setattr(orthopoly, "_newton_step", counting_step)
+    monkeypatch.setattr(orthopoly, "_recurrence_eigenvalues", _fail)
+    a, b = FAMILY_TABLE[family].jacobi(n)
+    for rows in _eligible_rows(family, n, _ROW_COUNTS):
+        for d in (2 * rows, 2 * rows + 1) if a == b else (rows,):
+            sizes.clear()
+            jacobi_roots(JacobiParams(a, b, d))
+            if n <= 10:
+                assert sizes == [rows], d
+            else:
+                assert len(sizes) == 2 and sizes[0] == rows and 0 < sizes[1] < rows, (d, sizes)
 
 
 def _bit_identical(a, b):

@@ -15,7 +15,8 @@ from mpmath import mp
 from scipy.special import betainc
 
 from projconst.constants import lambda_homogeneous, lambda_poly_leq
-from projconst.errors import DomainError
+from projconst.errors import DomainError, ProjconstError
+from projconst.gammafn import beta as beta_fn
 from projconst.geometry import FAMILY_TABLE, Family, SpaceId, axial_constant
 from projconst.orthopoly import JacobiParams, jacobi_roots
 from projconst.quadrature import (
@@ -144,6 +145,30 @@ def test_weight_mass_examples():
     assert weight_mass(0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
     assert weight_mass(-0.5, -0.5) == pytest.approx(math.pi, rel=1e-14)
     assert weight_mass(0.5, 0.5) == pytest.approx(math.pi / 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", np.geomspace(1.0, 5000.0, 25).tolist())
+def test_weight_mass_at_large_exponents(a):
+    # 2^(2a+1) overflows from a = 511.5 on, but the mass stays below 2: it is
+    # taken in log space there and is bit-identical to the product below.
+    # Both round their log-gammas, about eps ln Gamma(2a+2) relative
+    got = weight_mass(a, a)
+    bound = 4 * math.ulp(1.0) * max(1.0, math.lgamma(2 * a + 2))
+    assert abs(got / (mp.mpf(2) ** (2 * a + 1) * mp.beta(a + 1, a + 1)) - 1) <= bound
+    if 2 * a + 1 <= 1023:
+        assert got == 2.0 ** (2 * a + 1) * beta_fn(a + 1, a + 1)
+    for order in (2, 8, 40):
+        try:
+            gauss_jacobi_rule(a, a, order)
+        except ProjconstError:
+            pass
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, 3000.0), (-0.9, 1022.8)])
+def test_weight_mass_beyond_float_range_is_a_domain_error(a, b):
+    # at (-0.9, 1022.8) 2^(a+b+1) is finite and only the product overflows
+    with pytest.raises(DomainError):
+        weight_mass(a, b)
 
 
 def test_integrate_abs_jacobi_degree_zero():
